@@ -3,8 +3,9 @@
 //! allocator processes arrivals in near-constant amortized time.
 //!
 //! Criterion reports wall-clock vs input length `n`; doubling `n` should at
-//! most quadruple the greedy/pipeline times (quadratic shape), which
-//! EXPERIMENTS.md records.
+//! most quadruple the greedy/pipeline times (quadratic shape). The `exp_*`
+//! binaries for the other paper claims are listed in the README's crate
+//! map and its *Scaling* and *Ingest* sections.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmd_core::algo::online::{OnlineAllocator, OnlineConfig};

@@ -105,8 +105,9 @@ pub enum Command {
         churn: String,
         /// Target shard size in streams (0 = component granularity).
         shard_size: usize,
-        /// Super-shards for the two-level incremental engine (0 or 1 =
-        /// single-level; updates then route to (super, inner) pairs).
+        /// Super-shards for the two-level incremental engine (0 or 1 = the
+        /// flat, depth-1 partition tree; with K ≥ 2 updates route to
+        /// (super, inner) pairs).
         super_shards: usize,
         /// Worker threads (0 = all cores, 1 = sequential).
         threads: usize,
@@ -207,9 +208,12 @@ USAGE:
   are solved concurrently, and the shared budgets are reconciled; the
   report includes the certified optimality gap.
   --super-shards K (with --shard-size) first splits the catalog into K
-  coarse super-shards, water-fills the budgets once across them, then
-  solves each with the single-level path: the two-level mode that keeps
-  partition + water-fill subquadratic at web scale (10^5-10^6 users).
+  coarse super-shards, water-fills the budgets once across them, splits
+  each super-shard again into inner shards of at most --shard-size
+  streams, and solves every inner shard of every super-shard in one flat
+  fan-out: the two-level mode that keeps partition + water-fill
+  subquadratic at web scale (10^5-10^6 users). Without it (K = 0 or 1)
+  the same partition tree has depth 1: the shards are its leaves.
   ingest generates a seeded churn trace (arrivals/departures, interest
   drift, budget changes) and applies it in batches through the incremental
   ingest engine, which re-solves only the dirty shards; every batch

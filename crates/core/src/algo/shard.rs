@@ -41,24 +41,26 @@
 //! certificate against `mmd-exact`; `tests/shard_equivalence.rs` pins the
 //! shard-vs-monolithic differential behaviour.
 //!
-//! # The hierarchical (two-level) partition
+//! # The partition tree
 //!
-//! With [`ShardConfig::super_shards`] `≥ 2` the same machinery is applied
-//! twice, as one explicit tree ([`HierarchicalSharding`]): a *coarse*
-//! partition at cap `⌈|S| / super_shards⌉` (head-split while its
+//! Every solve runs over one explicit tree ([`HierarchicalSharding`]), and
+//! [`ShardConfig::super_shards`] decides its depth. At depth 1 (the default)
+//! the root partition is [`shard_instance`] at `max_streams` and its
+//! children are the leaves: the flat solve described above. With
+//! `super_shards ≥ 2` the root is a *coarse* partition at cap
+//! `⌈|S| / super_shards⌉` ([`super_partition`], head-split while its
 //! [`Sharding::skew_ratio`] exceeds [`ShardConfig::head_split_skew`], so a
-//! Zipf catalog head cannot pin one super-shard as the critical path), a
-//! single water-fill of every finite budget across the few super-shards,
-//! and per super-shard an *inner* partition at `max_streams` granularity
-//! with its own water-fill of the super-shard's share. All inner shards
-//! across all super-shards are then solved through **one flat
-//! [`solve_batch`] fan-out**, so workers steal inner-shard solves across
-//! super-shards and the outcome stays bit-identical at any thread count.
-//! Certificate terms come from the super level only — per-super-shard
-//! bounds under the FULL budgets plus the coarse `cut_mass` (plus the
+//! Zipf catalog head cannot pin one super-shard as the critical path), and
+//! every child is a super-shard carrying a depth-1 tree of its own: an
+//! *inner* partition at `max_streams` granularity with its own water-fill
+//! of the super-shard's share. Either way one water-fill of every finite
+//! budget runs across the root's children, and all leaves are solved
+//! through **one flat [`solve_batch`] fan-out**, so workers steal leaf
+//! solves across children and the outcome stays bit-identical at any
+//! thread count. Certificate terms come from the root only — per-child
+//! bounds under the FULL budgets plus the root's `cut_mass` (plus the
 //! compact-lane quantization mass) — because budget-restricted inner
-//! bounds would not be valid for the full-budget optimum. Flat solving is
-//! exactly the depth-1 case of this tree.
+//! bounds would not be valid for the full-budget optimum.
 
 use crate::algo::batch::solve_batch;
 use crate::algo::reduction::{residual_fill, MmdConfig};
@@ -147,7 +149,7 @@ impl ShardConfig {
     }
 
     /// Enables two-level sharding with the given number of super-shards
-    /// (`0` or `1` keeps the single-level path).
+    /// (`0` or `1` keeps the flat, depth-1 partition tree).
     #[must_use]
     pub fn with_super_shards(mut self, super_shards: usize) -> Self {
         self.super_shards = super_shards;
@@ -511,12 +513,12 @@ pub fn build_shard_instance(
 
 /// The membership-parameterized core of [`build_shard_instance`]:
 /// `local_of` maps a global stream id to its dense local index within the
-/// shard, or `None` for streams outside it. [`solve_sharded`] passes a
+/// shard, or `None` for streams outside it. The partition tree passes a
 /// lookup backed by [`Sharding`]'s precomputed maps so that building every
-/// shard costs O(shard), not O(instance) each. Crate-visible so the ingest
-/// engine builds its dirty shards through the identical path (bit-for-bit
-/// equivalence with a from-scratch [`solve_sharded`] depends on it).
-pub(crate) fn build_shard_instance_with(
+/// shard costs O(shard), not O(instance) each; the ingest engine builds its
+/// dirty shards through the same tree (bit-for-bit equivalence with a
+/// from-scratch [`solve_sharded`] depends on it).
+fn build_shard_instance_with(
     instance: &Instance,
     shard: &Shard,
     budgets: &[f64],
@@ -573,8 +575,9 @@ pub fn utility_upper_bound(instance: &Instance, streams: &[StreamId], users: &[U
 }
 
 /// The membership-parameterized core of [`utility_upper_bound`].
-/// [`solve_sharded`] passes lookups backed by [`Sharding`]'s precomputed
-/// maps so that bounding every shard costs O(shard), not O(instance) each.
+/// [`shard_utility_bound`] passes lookups backed by [`Sharding`]'s
+/// precomputed maps so that bounding every shard costs O(shard), not
+/// O(instance) each.
 fn utility_upper_bound_with(
     instance: &Instance,
     streams: &[StreamId],
@@ -758,158 +761,284 @@ fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &Shar
     }
 }
 
-/// The explicit two-level partition tree: the coarse super level plus its
+/// The root of the partition tree: one partition of the instance plus its
 /// certificate terms and water-filled budget shares. This is the single
-/// source of truth for `super_shards ≥ 2` solving — [`solve_sharded`]
-/// builds one per call and the ingest engine maintains one incrementally —
-/// and flat solving is its depth-1 degenerate case (every shard its own
-/// super-shard under the full budgets).
+/// source of truth for sharded solving — [`solve_sharded`] builds one per
+/// call and the ingest engine maintains one incrementally — and the only
+/// place where the tree's depth is decided:
 ///
-/// `bounds[k]` is [`shard_utility_bound`] of super-shard `k` under the
-/// **full** server budgets. It serves double duty: as the water-fill
-/// weight steering `shares[k]`, and as the only per-shard certificate
-/// contribution — `Σ bounds + supers.cut_mass (+ quantization mass)` is
-/// the certified upper bound, with inner-level bounds deliberately
-/// excluded (budget-restricted inner bounds are not valid for the
-/// full-budget optimum).
+/// * with [`ShardConfig::super_shards`] `≤ 1` the root partition is
+///   [`shard_instance`] at `max_streams`, and its children are the leaves
+///   (depth 1: the flat solve);
+/// * with `super_shards ≥ 2` it is the coarse [`super_partition`], and
+///   every child is a super-shard partitioned again at `max_streams`, whose
+///   inner shards are the leaves (depth 2).
+///
+/// `bounds[k]` is [`shard_utility_bound`] of child `k` under the **full**
+/// server budgets. It serves double duty: as the water-fill weight steering
+/// `shares[k]`, and as the only per-child certificate contribution —
+/// `Σ bounds + supers.cut_mass (+ quantization mass)` is the certified
+/// upper bound, with inner-level bounds deliberately excluded
+/// (budget-restricted inner bounds are not valid for the full-budget
+/// optimum).
 #[derive(Clone, Debug)]
 pub struct HierarchicalSharding {
-    /// The coarse partition (after head-splitting), over global ids.
+    /// The root partition over global ids: the flat shards at depth 1, the
+    /// coarse super-shards (after head-splitting) at depth 2.
     pub supers: Sharding,
-    /// Per-super-shard utility bound under the full budgets: water-fill
-    /// weight and certificate term at once.
+    /// Per-child utility bound under the full budgets: water-fill weight
+    /// and certificate term at once.
     pub bounds: Vec<f64>,
-    /// Per-super-shard water-filled budget share (one entry per measure).
+    /// Per-child water-filled budget share (one entry per measure).
     pub shares: Vec<Vec<f64>>,
+    /// `true` at depth 2, where every child is a planned super-shard.
+    pub(crate) two_level: bool,
+    /// Dense local index of every stream within its child.
+    local_of_stream: Vec<usize>,
 }
 
 impl HierarchicalSharding {
-    /// Builds the coarse level for `instance`: partition + head-split
-    /// ([`super_partition`]), full-budget bounds, water-filled shares.
+    /// Builds the root for `instance`: partition (see the type docs for
+    /// its depth), full-budget bounds, water-filled shares.
     #[must_use]
     pub fn new(instance: &Instance, config: &ShardConfig) -> Self {
-        let supers = super_partition(instance, config);
+        Self::with_bounds(instance, config, |root, k| {
+            shard_utility_bound(instance, root, k)
+        })
+    }
+
+    /// [`Self::new`] with the per-child bounds supplied by `bound(root, k)`,
+    /// called once per child in order: the ingest engine reuses the cached
+    /// bounds of unchanged children through it.
+    pub(crate) fn with_bounds(
+        instance: &Instance,
+        config: &ShardConfig,
+        mut bound: impl FnMut(&Sharding, usize) -> f64,
+    ) -> Self {
+        let two_level = config.super_shards > 1;
+        let supers = if two_level {
+            super_partition(instance, config)
+        } else {
+            shard_instance(instance, config.max_streams)
+        };
         let bounds: Vec<f64> = (0..supers.num_shards())
-            .map(|k| shard_utility_bound(instance, &supers, k))
+            .map(|k| bound(&supers, k))
             .collect();
         let shares = split_budgets(instance, &supers, &bounds, config.budget_slack);
+        // One O(instance) pass for all per-child membership lookups:
+        // together with the partition's shard_of_* maps this keeps every
+        // per-child step at O(child) instead of O(instance) — the
+        // difference between linear and quadratic total work at 10⁵–10⁶
+        // streams.
+        let mut local_of_stream = vec![0usize; instance.num_streams()];
+        for shard in &supers.shards {
+            for (li, &s) in shard.streams.iter().enumerate() {
+                local_of_stream[s.index()] = li;
+            }
+        }
         HierarchicalSharding {
             supers,
             bounds,
             shares,
+            two_level,
+            local_of_stream,
         }
     }
 
-    /// Number of super-shards.
+    /// Number of children of the root (super-shards at depth 2, shards at
+    /// depth 1).
     #[must_use]
     pub fn num_supers(&self) -> usize {
         self.supers.num_shards()
     }
 
     /// The certified upper bound these terms imply for `instance`:
-    /// `Σ bounds + super cut_mass + quantization mass`.
+    /// `Σ bounds + root cut_mass + quantization mass`.
     #[must_use]
     pub fn upper_bound(&self, instance: &Instance) -> f64 {
         self.bounds.iter().sum::<f64>() + self.supers.cut_mass + instance.quantization_error()
     }
+
+    /// Builds child `k`'s standalone instance: the same costs, caps and
+    /// capacities, only the child's members and intra-child interests, the
+    /// child's share as budgets, and the name `"{instance}#{label}{k}"` (a
+    /// label only — solve results never depend on it). Costs O(child).
+    fn build_child(&self, instance: &Instance, k: usize, label: &str) -> Instance {
+        build_shard_instance_with(
+            instance,
+            &self.supers.shards[k],
+            &self.shares[k],
+            &format!("{}#{label}{k}", instance.name()),
+            &|s| {
+                (self.supers.shard_of_stream[s.index()] == k)
+                    .then(|| self.local_of_stream[s.index()])
+            },
+        )
+    }
+
+    /// Plans the children `ks` of the root for solving, fanned out on
+    /// `config.threads` workers (input-ordered, so fully deterministic).
+    /// At depth 2 each child becomes its own sub-instance, partitioned by a
+    /// depth-1 tree of its own: the inner partition at `max_streams`, the
+    /// inner bounds (water-fill weights only — never certificate terms) and
+    /// the inner water-fill of the child's share.
+    pub(crate) fn plan<'a>(
+        &'a self,
+        instance: &'a Instance,
+        config: &ShardConfig,
+        ks: &[usize],
+    ) -> Vec<Child<'a>> {
+        let inner_config = ShardConfig {
+            super_shards: 0,
+            ..*config
+        };
+        mmd_par::parallel_map(config.threads, ks, |_, &k| Child {
+            root: self,
+            instance,
+            k,
+            plan: self.two_level.then(|| {
+                let sub = self.build_child(instance, k, "super");
+                let inner = HierarchicalSharding::new(&sub, &inner_config);
+                SuperPlan { sub, inner }
+            }),
+        })
+    }
 }
 
-/// Everything needed to solve one super-shard: its standalone sub-instance
-/// (budgets = the super-shard's water-filled share), the inner partition
-/// of that sub-instance at `max_streams` granularity, and the inner-level
-/// water-fill of the share across the inner shards. Built by
-/// [`plan_super`] identically in the from-scratch and the incremental
-/// paths — (super, inner) cache reuse in the ingest engine is sound
-/// because an unchanged (membership, content, share) triple reproduces
-/// this plan bit-for-bit.
-pub(crate) struct SuperPlan {
-    /// The super-shard's standalone instance (local ids, share budgets).
-    pub sub: Instance,
-    /// The inner partition of [`Self::sub`].
-    pub inner: Sharding,
-    /// Water-filled share of the super-shard's budgets per inner shard.
-    pub inner_shares: Vec<Vec<f64>>,
-    /// Dense local index of each of `sub`'s streams within its inner shard.
-    local_of_stream: Vec<usize>,
+/// A planned super-shard: its standalone sub-instance (local ids, budgets =
+/// the super-shard's water-filled share) and the depth-1 tree over it. The
+/// plan is built identically in the from-scratch and the incremental
+/// paths, so leaf reuse in the ingest engine is sound: an unchanged
+/// (membership, content, share) triple reproduces a leaf's instance
+/// bit-for-bit.
+struct SuperPlan {
+    sub: Instance,
+    inner: HierarchicalSharding,
 }
 
-/// Builds the [`SuperPlan`] of super-shard `k`: sub-instance named
-/// `"{instance}#super{k}"`, inner partition at `config.max_streams`, inner
-/// bounds (water-fill weights only — never certificate terms) and inner
-/// shares. `local_of_stream` maps global stream ids to their dense local
-/// index within their super-shard, so the build costs O(super-shard).
-pub(crate) fn plan_super(
-    instance: &Instance,
-    supers: &Sharding,
-    local_of_stream: &[usize],
-    k: usize,
-    share: &[f64],
-    config: &ShardConfig,
-) -> SuperPlan {
-    let shard = &supers.shards[k];
-    let sub = build_shard_instance_with(
-        instance,
-        shard,
-        share,
-        &format!("{}#super{k}", instance.name()),
-        &|s| (supers.shard_of_stream[s.index()] == k).then(|| local_of_stream[s.index()]),
-    );
-    let inner = shard_instance(&sub, config.max_streams);
-    let mut local = vec![0usize; sub.num_streams()];
-    for ish in &inner.shards {
-        for (li, &s) in ish.streams.iter().enumerate() {
-            local[s.index()] = li;
+/// One child of the root, planned for solving. At depth 1 the child is
+/// itself the only leaf: solved under its root share, with no tail of its
+/// own (exactly the flat solve). At depth 2 it is a planned super-shard
+/// whose inner shards are the leaves, finished by the super-shard tail of
+/// [`Child::finish`].
+pub(crate) struct Child<'a> {
+    root: &'a HierarchicalSharding,
+    instance: &'a Instance,
+    /// The child's index in the root partition.
+    pub(crate) k: usize,
+    plan: Option<SuperPlan>,
+}
+
+impl Child<'_> {
+    /// Number of leaves under the child.
+    pub(crate) fn num_leaves(&self) -> usize {
+        self.plan.as_ref().map_or(1, |p| p.inner.num_supers())
+    }
+
+    /// The tree and instance leaf `j` is a child of, and its index there.
+    fn leaf_parent(&self, j: usize) -> (&HierarchicalSharding, &Instance, usize) {
+        match &self.plan {
+            None => (self.root, self.instance, self.k),
+            Some(plan) => (&plan.inner, &plan.sub, j),
         }
     }
-    let inner_bounds: Vec<f64> = (0..inner.num_shards())
-        .map(|j| shard_utility_bound(&sub, &inner, j))
-        .collect();
-    let inner_shares = split_budgets(&sub, &inner, &inner_bounds, config.budget_slack);
-    SuperPlan {
-        sub,
-        inner,
-        inner_shares,
-        local_of_stream: local,
-    }
-}
 
-/// Builds the standalone instance of inner shard `j` of a planned
-/// super-shard, named `"{instance}#super{k}#shard{j}"` (the name is a
-/// label only — solve results never depend on it).
-pub(crate) fn build_inner_instance(plan: &SuperPlan, j: usize) -> Instance {
-    build_shard_instance_with(
-        &plan.sub,
-        &plan.inner.shards[j],
-        &plan.inner_shares[j],
-        &format!("{}#shard{j}", plan.sub.name()),
-        &|s| (plan.inner.shard_of_stream[s.index()] == j).then(|| plan.local_of_stream[s.index()]),
-    )
-}
-
-/// The per-super-shard tail: merge the inner-shard solutions (`locals`,
-/// one assignment per inner shard, inner-local ids) into one assignment
-/// over the super-shard's sub-instance, repair the share budgets, and
-/// optionally run the residual fill — exactly what the single-level solve
-/// does for its shards. Returns the merged assignment (sub-local ids) and
-/// the number of streams the repair pass dropped.
-pub(crate) fn finish_super(
-    plan: &SuperPlan,
-    locals: &[Assignment],
-    global_fill: bool,
-) -> (Assignment, usize) {
-    let mut merged = Assignment::for_instance(&plan.sub);
-    for (shard, local) in plan.inner.shards.iter().zip(locals) {
-        for (lu, &gu) in shard.users.iter().enumerate() {
-            for ls in local.streams_of(UserId::new(lu)) {
-                merged.assign(gu, shard.streams[ls.index()]);
+    /// Leaf `j`'s global membership, budget share and water-fill weight.
+    /// Membership, member content and share fully determine the leaf's
+    /// instance (up to its name), so they key leaf reuse.
+    pub(crate) fn leaf(&self, j: usize) -> (Shard, &[f64], f64) {
+        let (tree, _, i) = self.leaf_parent(j);
+        let leaf = &tree.supers.shards[i];
+        let global = if self.plan.is_some() {
+            // Sub-instance ids are dense in the child's member order.
+            let outer = &self.root.supers.shards[self.k];
+            Shard {
+                streams: leaf
+                    .streams
+                    .iter()
+                    .map(|s| outer.streams[s.index()])
+                    .collect(),
+                users: leaf.users.iter().map(|u| outer.users[u.index()]).collect(),
             }
+        } else {
+            leaf.clone()
+        };
+        (global, &tree.shares[i], tree.bounds[i])
+    }
+
+    /// Builds leaf `j`'s standalone instance, named `"{instance}#shard{k}"`
+    /// at depth 1 and `"{instance}#super{k}#shard{j}"` at depth 2.
+    pub(crate) fn build_leaf(&self, j: usize) -> Instance {
+        let (tree, instance, i) = self.leaf_parent(j);
+        tree.build_child(instance, i, "shard")
+    }
+
+    /// The child's solution over its own members from its leaves'
+    /// solutions (`locals`, leaf-local ids, in leaf order), with the number
+    /// of streams the child's own repair pass dropped. At depth 1 that is
+    /// the one leaf's solution as is. At depth 2 it is the super-shard
+    /// tail: merge the leaves over the sub-instance and [`reconcile`] it
+    /// against the share budgets, exactly like the root does for its
+    /// children.
+    pub(crate) fn finish<'b>(
+        &self,
+        locals: impl IntoIterator<Item = &'b Assignment>,
+        global_fill: bool,
+    ) -> (Assignment, usize) {
+        let Some(plan) = &self.plan else {
+            let local = locals
+                .into_iter()
+                .next()
+                .expect("a leaf child has one leaf");
+            return (local.clone(), 0);
+        };
+        let mut merged = Assignment::for_instance(&plan.sub);
+        for (shard, local) in plan.inner.supers.shards.iter().zip(locals) {
+            merge_local(&mut merged, shard, local);
+        }
+        let repaired = reconcile(&plan.sub, &mut merged, global_fill);
+        (merged, repaired)
+    }
+
+    /// Interests cut by the child's inner partition: count and utility
+    /// mass (none at depth 1).
+    pub(crate) fn inner_cut(&self) -> (usize, f64) {
+        self.plan.as_ref().map_or((0, 0.0), |p| {
+            (p.inner.supers.cut.len(), p.inner.supers.cut_mass)
+        })
+    }
+}
+
+/// Merges a solution over `shard`'s members (local ids dense in the order
+/// of `shard.streams` / `shard.users`) into `merged`.
+pub(crate) fn merge_local(merged: &mut Assignment, shard: &Shard, local: &Assignment) {
+    for (lu, &gu) in shard.users.iter().enumerate() {
+        for ls in local.streams_of(UserId::new(lu)) {
+            merged.assign(gu, shard.streams[ls.index()]);
         }
     }
-    let repaired = repair_budgets(&plan.sub, &mut merged);
-    if global_fill && merged.check_feasible(&plan.sub).is_ok() {
-        residual_fill(&plan.sub, &mut merged);
+}
+
+/// The reconciliation tail every merge runs: the budget repair pass, then
+/// (when `global_fill` is set and the repair left the assignment feasible)
+/// a [`residual_fill`]. Returns the number of streams the repair dropped.
+pub(crate) fn reconcile(instance: &Instance, merged: &mut Assignment, global_fill: bool) -> usize {
+    let repaired = repair_budgets(instance, merged);
+    if global_fill && merged.check_feasible(instance).is_ok() {
+        residual_fill(instance, merged);
     }
-    (merged, repaired)
+    repaired
+}
+
+/// `part / whole` clamped to `[0, 1]`, and `0` when `whole` is not a
+/// positive finite number — the gap fractions of a certified bracket stay
+/// NaN-free even if a bound were ever non-finite.
+pub(crate) fn fraction_of(part: f64, whole: f64) -> f64 {
+    if whole.is_finite() && whole > 0.0 {
+        (part / whole).clamp(0.0, 1.0)
+    } else {
+        0.0
+    }
 }
 
 /// Result of [`solve_sharded`]: a feasible assignment plus the certificate
@@ -926,7 +1055,7 @@ pub struct ShardedOutcome {
     /// Relative optimality gap `(upper_bound − utility) / upper_bound`
     /// (0 when the upper bound is 0).
     pub gap_fraction: f64,
-    /// Number of shards solved.
+    /// Number of shards solved (the leaves of the partition tree).
     pub num_shards: usize,
     /// Stream count of the largest shard.
     pub largest_shard: usize,
@@ -936,22 +1065,32 @@ pub struct ShardedOutcome {
     pub cut_mass: f64,
     /// Streams dropped by the budget repair pass.
     pub repaired_streams: usize,
-    /// Stream-weighted skew ratio ([`Sharding::skew_ratio`]) of the
-    /// partition the solve fanned out over: the flat partition in
-    /// single-level mode, the coarse super level (after head-splitting) in
-    /// two-level mode.
+    /// Stream-weighted skew ratio ([`Sharding::skew_ratio`]) of the root
+    /// partition: the flat partition in single-level mode, the coarse
+    /// super level (after head-splitting) in two-level mode.
     pub skew_ratio: f64,
 }
 
-/// Solves one instance by sharding: partition ([`shard_instance`]), solve
-/// shards concurrently ([`solve_batch`] at `config.threads` workers over
-/// water-filled budget splits), merge, repair the shared budgets, and
-/// optionally run a global [`residual_fill`].
+/// Solves one instance by sharding: build the root partition
+/// ([`HierarchicalSharding`]: partition, full-budget bounds, water-filled
+/// budget shares), plan its children, solve **every leaf of every child**
+/// through one flat [`solve_batch`] fan-out at `config.threads` workers —
+/// at depth 2 workers steal inner-shard solves across super-shards, so a
+/// Zipf head cannot pin the critical path — finish each child, merge,
+/// repair the shared budgets, and optionally run a global
+/// [`residual_fill`].
 ///
-/// The outcome is deterministic and bit-identical at any thread count. On
-/// an instance whose components are disjoint and whose budgets are
-/// uncontended, the result is bit-identical to [`solve_mmd`]
+/// The outcome is deterministic and bit-identical at any thread count
+/// (`solve_batch` results are per-instance deterministic and
+/// input-ordered). On an instance whose components are disjoint and whose
+/// budgets are uncontended, the result is bit-identical to [`solve_mmd`]
 /// (`tests/shard_equivalence.rs` pins this).
+///
+/// Certificate: the upper bound is the root's
+/// ([`HierarchicalSharding::upper_bound`]) at either depth — restricting OPT
+/// to a child keeps it feasible for the full budgets, so the per-child
+/// bounds plus the mass of the interests the root partition cut cover it
+/// (Lemma 2.1; see the module docs).
 ///
 /// [`solve_mmd`]: crate::algo::reduction::solve_mmd
 ///
@@ -990,74 +1129,46 @@ pub fn solve_sharded(
     instance: &Instance,
     config: &ShardConfig,
 ) -> Result<ShardedOutcome, SolveError> {
-    if config.super_shards > 1 {
-        return solve_two_level(instance, config);
-    }
-    let sharding = shard_instance(instance, config.max_streams);
-    // One O(instance) pass for all per-shard membership lookups: the dense
-    // local index of every stream within its own shard. Together with the
-    // sharding's shard_of_* maps this keeps every per-shard step at
-    // O(shard) instead of O(instance) — the difference between linear and
-    // quadratic total work at 10⁵–10⁶ streams.
-    let mut local_of_stream = vec![0usize; instance.num_streams()];
-    for shard in &sharding.shards {
-        for (li, &s) in shard.streams.iter().enumerate() {
-            local_of_stream[s.index()] = li;
-        }
-    }
-    // Per-shard upper bounds double as the water-filling weights: budget
-    // flows to the shards whose streams can actually produce utility.
-    let shard_bounds: Vec<f64> = (0..sharding.num_shards())
-        .map(|k| shard_utility_bound(instance, &sharding, k))
+    let root = HierarchicalSharding::new(instance, config);
+    let all: Vec<usize> = (0..root.num_supers()).collect();
+    let children = root.plan(instance, config, &all);
+    let leaves: Vec<(usize, usize)> = children
+        .iter()
+        .enumerate()
+        .flat_map(|(p, child)| (0..child.num_leaves()).map(move |j| (p, j)))
         .collect();
-    let budgets = split_budgets(instance, &sharding, &shard_bounds, config.budget_slack);
-    // Builds are independent per shard: fan them out on the same worker
-    // budget as the solves (input-ordered, so fully deterministic).
-    let pairs: Vec<(&Shard, &Vec<f64>)> = sharding.shards.iter().zip(&budgets).collect();
-    let sub_instances: Vec<Instance> =
-        mmd_par::parallel_map(config.threads, &pairs, |k, &(shard, share)| {
-            build_shard_instance_with(
-                instance,
-                shard,
-                share,
-                &format!("{}#shard{k}", instance.name()),
-                &|s| (sharding.shard_of_stream[s.index()] == k).then(|| local_of_stream[s.index()]),
-            )
+    let subs: Vec<Instance> = mmd_par::parallel_map(config.threads, &leaves, |_, &(p, j)| {
+        children[p].build_leaf(j)
+    });
+    let mut results = solve_batch(&subs, &config.mmd, config.threads).into_iter();
+    let mut locals: Vec<Vec<Assignment>> = Vec::with_capacity(children.len());
+    for child in &children {
+        let solved: Result<Vec<Assignment>, SolveError> = (0..child.num_leaves())
+            .map(|_| Ok(results.next().expect("one result per leaf")?.assignment))
+            .collect();
+        locals.push(solved?);
+    }
+    // The per-child tails are independent too.
+    let finished: Vec<(Assignment, usize)> =
+        mmd_par::parallel_map(config.threads, &children, |p, child| {
+            child.finish(&locals[p], config.global_fill)
         });
 
-    let results = solve_batch(&sub_instances, &config.mmd, config.threads);
-
     let mut merged = Assignment::for_instance(instance);
-    for (shard, result) in sharding.shards.iter().zip(results) {
-        let outcome = result?;
-        for (lu, &gu) in shard.users.iter().enumerate() {
-            for ls in outcome.assignment.streams_of(UserId::new(lu)) {
-                merged.assign(gu, shard.streams[ls.index()]);
-            }
-        }
+    let mut cut_edges = root.supers.cut.len();
+    let mut cut_mass = root.supers.cut_mass;
+    let mut repaired_streams = 0usize;
+    for (child, (local, repaired)) in children.iter().zip(finished) {
+        let (edges, mass) = child.inner_cut();
+        cut_edges += edges;
+        cut_mass += mass;
+        repaired_streams += repaired;
+        merge_local(&mut merged, &root.supers.shards[child.k], &local);
     }
-
-    let repaired_streams = repair_budgets(instance, &mut merged);
-    if config.global_fill && merged.check_feasible(instance).is_ok() {
-        residual_fill(instance, &mut merged);
-    }
+    repaired_streams += reconcile(instance, &mut merged, config.global_fill);
 
     let utility = merged.utility(instance);
-    // Compact lanes quantize only the coverage kernel; the bound terms are
-    // computed from the exact pairs, but folding the certified quantization
-    // error in keeps the bracket valid for any kernel-derived quantity too
-    // (0 in exact mode, so the default path is unchanged bit-for-bit).
-    let upper_bound =
-        shard_bounds.iter().sum::<f64>() + sharding.cut_mass + instance.quantization_error();
-    // 0 when the upper bound is 0 (nothing can produce utility, so the
-    // bracket is trivially tight) — and the `> 0` predicate plus the clamp
-    // keep the fraction in [0, 1] and NaN-free even if a bound were ever
-    // non-finite.
-    let gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-        ((upper_bound - utility) / upper_bound).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
+    let upper_bound = root.upper_bound(instance);
     debug_assert!(
         merged.check_feasible(instance).is_ok(),
         "sharded output must be feasible: {:?}",
@@ -1067,134 +1178,13 @@ pub fn solve_sharded(
         assignment: merged,
         utility,
         upper_bound,
-        gap_fraction,
-        num_shards: sharding.num_shards(),
-        largest_shard: sharding.largest_shard_streams(),
-        cut_edges: sharding.cut.len(),
-        cut_mass: sharding.cut_mass,
-        repaired_streams,
-        skew_ratio: sharding.skew_ratio(),
-    })
-}
-
-/// The two-level path of [`solve_sharded`] (`config.super_shards ≥ 2`):
-/// build the [`HierarchicalSharding`] (coarse partition + head-splitting +
-/// one budget water-fill across the super-shards), plan every super-shard
-/// ([`plan_super`]: sub-instance, inner partition, inner water-fill), then
-/// solve **all** inner shards of all super-shards through one flat
-/// [`solve_batch`] fan-out — workers steal inner solves across
-/// super-shards, so the Zipf head no longer bounds the critical path — and
-/// merge per super-shard ([`finish_super`]) and globally (repair +
-/// optional global fill), exactly like the single level does for its
-/// shards. `solve_batch` results are per-instance deterministic and
-/// input-ordered, so the flat fan-out is bit-identical to solving each
-/// super-shard separately, at any worker count.
-///
-/// Certificate: the upper bound is `Σ_k ub(super_k) + super_cut_mass`,
-/// where every `ub(super_k)` is [`shard_utility_bound`] against the FULL
-/// server budgets — the water-filled shares steer the solves only. This is
-/// the same Lemma 2.1 subadditivity argument as the single level, taken at
-/// the coarse partition: restricting OPT to a super-shard keeps it feasible
-/// for the full budgets, so the per-super-shard bounds (plus the mass of
-/// the interests the coarse partition cut) cover it. Inner certificates are
-/// *not* summed into the bound — budget-restricted inner bounds would not
-/// be valid for the full-budget optimum.
-fn solve_two_level(
-    instance: &Instance,
-    config: &ShardConfig,
-) -> Result<ShardedOutcome, SolveError> {
-    let h = HierarchicalSharding::new(instance, config);
-    let mut local_of_stream = vec![0usize; instance.num_streams()];
-    for shard in &h.supers.shards {
-        for (li, &s) in shard.streams.iter().enumerate() {
-            local_of_stream[s.index()] = li;
-        }
-    }
-    // Plans are independent per super-shard: fan them out on the same
-    // worker budget as the solves (input-ordered, so fully deterministic).
-    let plans: Vec<SuperPlan> = mmd_par::parallel_map(config.threads, &h.shares, |k, share| {
-        plan_super(instance, &h.supers, &local_of_stream, k, share, config)
-    });
-
-    // Flatten every (super, inner) pair into one global batch. This is
-    // what removes the head-bound fan-out: a worker finishing a small
-    // super-shard's inner solves steals the head's remaining ones.
-    let mut owners: Vec<(usize, usize)> = Vec::new();
-    for (k, plan) in plans.iter().enumerate() {
-        for j in 0..plan.inner.num_shards() {
-            owners.push((k, j));
-        }
-    }
-    let sub_instances: Vec<Instance> =
-        mmd_par::parallel_map(config.threads, &owners, |_, &(k, j)| {
-            build_inner_instance(&plans[k], j)
-        });
-    let results = solve_batch(&sub_instances, &config.mmd, config.threads);
-
-    let mut locals: Vec<Vec<Assignment>> = plans
-        .iter()
-        .map(|p| Vec::with_capacity(p.inner.num_shards()))
-        .collect();
-    for (&(k, _), result) in owners.iter().zip(results) {
-        locals[k].push(result?.assignment);
-    }
-    // The per-super tails (merge, repair, fill against the sub-instance)
-    // are independent too.
-    let idx: Vec<usize> = (0..plans.len()).collect();
-    let finished: Vec<(Assignment, usize)> =
-        mmd_par::parallel_map(config.threads, &idx, |_, &k| {
-            finish_super(&plans[k], &locals[k], config.global_fill)
-        });
-
-    let mut merged = Assignment::for_instance(instance);
-    let mut num_shards = 0usize;
-    let mut largest_shard = 0usize;
-    let mut cut_edges = h.supers.cut.len();
-    let mut cut_mass = h.supers.cut_mass;
-    let mut repaired_streams = 0usize;
-    for ((shard, plan), (local, repaired)) in h.supers.shards.iter().zip(&plans).zip(finished) {
-        num_shards += plan.inner.num_shards();
-        largest_shard = largest_shard.max(plan.inner.largest_shard_streams());
-        cut_edges += plan.inner.cut.len();
-        cut_mass += plan.inner.cut_mass;
-        repaired_streams += repaired;
-        for (lu, &gu) in shard.users.iter().enumerate() {
-            for ls in local.streams_of(UserId::new(lu)) {
-                merged.assign(gu, shard.streams[ls.index()]);
-            }
-        }
-    }
-
-    repaired_streams += repair_budgets(instance, &mut merged);
-    if config.global_fill && merged.check_feasible(instance).is_ok() {
-        residual_fill(instance, &mut merged);
-    }
-
-    let utility = merged.utility(instance);
-    // Super-level certificate plus the compact-lane quantization margin
-    // (0 in exact mode), mirroring the single-level path.
-    let upper_bound = h.upper_bound(instance);
-    let gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-        ((upper_bound - utility) / upper_bound).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    debug_assert!(
-        merged.check_feasible(instance).is_ok(),
-        "two-level output must be feasible: {:?}",
-        merged.check_feasible(instance)
-    );
-    Ok(ShardedOutcome {
-        assignment: merged,
-        utility,
-        upper_bound,
-        gap_fraction,
-        num_shards,
-        largest_shard,
+        gap_fraction: fraction_of(upper_bound - utility, upper_bound),
+        num_shards: subs.len(),
+        largest_shard: subs.iter().map(Instance::num_streams).max().unwrap_or(0),
         cut_edges,
         cut_mass,
         repaired_streams,
-        skew_ratio: h.supers.skew_ratio(),
+        skew_ratio: root.supers.skew_ratio(),
     })
 }
 
@@ -1813,12 +1803,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn two_level_stays_certified_under_contention() {
-        // 8 streams chained through shared users against a tight shared
-        // budget: the coarse partition cuts interests and the merge needs
-        // repair, but the certificate must still bracket and the result
-        // must be feasible and thread-count invariant.
+    /// 8 streams chained into one ring through shared users, against a
+    /// tight shared budget: any size cap below 8 cuts interests.
+    fn contended_ring() -> Instance {
         let mut b = Instance::builder("2lvl").server_budgets(vec![12.0]);
         let s: Vec<_> = (0..8)
             .map(|i| b.add_stream(vec![2.0 + (i % 3) as f64]))
@@ -1830,7 +1817,46 @@ mod tests {
             b.add_interest(users[i], s[(i + 1) % 8], 1.0 + i as f64 * 0.125, vec![])
                 .unwrap();
         }
-        let inst = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn flat_sharding_is_the_depth_one_tree() {
+        let inst = contended_ring();
+        for (max_streams, super_shards) in [(0usize, 0usize), (2, 0), (2, 1), (3, 1)] {
+            let cfg = ShardConfig {
+                max_streams,
+                super_shards,
+                ..ShardConfig::default()
+            };
+            let root = HierarchicalSharding::new(&inst, &cfg);
+            let flat = shard_instance(&inst, max_streams);
+            assert_eq!(root.supers.shards, flat.shards, "cap {max_streams}");
+            assert_eq!(root.supers.cut, flat.cut, "cap {max_streams}");
+        }
+        // The solve's certificate is the root's, at either depth.
+        for super_shards in [0usize, 3] {
+            let cfg = ShardConfig {
+                max_streams: 2,
+                super_shards,
+                ..ShardConfig::default()
+            };
+            let out = solve_sharded(&inst, &cfg).unwrap();
+            let root = HierarchicalSharding::new(&inst, &cfg);
+            assert_eq!(
+                out.upper_bound.to_bits(),
+                root.upper_bound(&inst).to_bits(),
+                "super_shards {super_shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_level_stays_certified_under_contention() {
+        // The coarse partition cuts interests and the merge needs repair,
+        // but the certificate must still bracket and the result must be
+        // feasible and thread-count invariant.
+        let inst = contended_ring();
         let cfg = ShardConfig {
             max_streams: 2,
             super_shards: 3,

@@ -100,10 +100,9 @@ pub mod async_apply;
 
 use crate::algo::batch::solve_batch;
 use crate::algo::online::{OfferOutcome, OnlineAllocator, OnlineConfig};
-use crate::algo::reduction::residual_fill;
 use crate::algo::shard::{
-    build_inner_instance, build_shard_instance_with, finish_super, plan_super, repair_budgets,
-    shard_instance, shard_utility_bound, split_budgets, super_partition, ShardConfig, SuperPlan,
+    fraction_of, merge_local, reconcile, shard_utility_bound, HierarchicalSharding, Shard,
+    ShardConfig,
 };
 use crate::assignment::Assignment;
 use crate::error::{BuildError, SolveError};
@@ -500,6 +499,12 @@ impl Touched {
             budgets: true,
         }
     }
+
+    /// Whether any member of `shard` was touched.
+    fn touches(&self, shard: &Shard) -> bool {
+        shard.streams.iter().any(|s| self.streams[s.index()])
+            || shard.users.iter().any(|u| self.users[u.index()])
+    }
 }
 
 /// The mutable problem model behind the immutable [`Instance`] snapshots.
@@ -671,72 +676,64 @@ impl Model {
     }
 }
 
-/// Everything cached about one solved shard, keyed by its membership.
+/// Everything cached about one solved node of the partition tree — a
+/// child of the root, or a leaf under a depth-2 child — keyed by its
+/// membership.
 #[derive(Clone, Debug)]
-struct ShardCacheEntry {
+struct CacheEntry {
     streams: Vec<StreamId>,
     users: Vec<UserId>,
     /// The budget share the cached solution was solved under.
-    budgets: Vec<f64>,
-    /// The shard's certified utility upper bound under the full budgets.
-    bound: f64,
-    /// The cached local-id solution of the shard.
-    local: Assignment,
-    /// `true` when the entry's solve was skipped by a budget trip: the
-    /// `local` is a stale (or empty) fallback, not the shard's fresh
-    /// solution. Stale entries never match as clean, so the next apply
-    /// re-solves them — budget permitting — and governance self-heals.
-    stale: bool,
-}
-
-/// Everything cached about one planned-and-solved super-shard of the
-/// two-level mode, keyed by its membership. The entry carries both the
-/// finished per-super assignment (reused wholesale when the super-shard is
-/// clean) and the per-inner-shard solutions (reused individually inside a
-/// *dirty* super-shard whose re-plan reproduces an inner shard's
-/// `(membership, content, share)` key — see
-/// [`IngestEngine::resolve_two_level`]).
-#[derive(Clone, Debug)]
-struct SuperCacheEntry {
-    streams: Vec<StreamId>,
-    users: Vec<UserId>,
-    /// The coarse water-filled budget share the cached plan was built under.
     share: Vec<f64>,
-    /// The super-shard's utility bound under the FULL budgets (water-fill
-    /// weight and the only per-shard certificate term).
+    /// The node's utility bound under its parent's budgets — for a child
+    /// of the root, its certificate term under the full budgets.
     bound: f64,
-    /// The finished per-super assignment (sub-local ids): inner solutions
-    /// merged, share budgets repaired, residual-filled.
+    /// The cached solution over the node's members (local ids).
     local: Assignment,
-    /// Counters of the cached plan, folded into every outcome that reuses
-    /// the entry.
-    num_inner: usize,
-    inner_cut_edges: usize,
-    inner_cut_mass: f64,
+    /// `true` when a budget trip skipped a leaf solve behind `local`: the
+    /// solution is a stale (or empty) fallback. Stale entries never match
+    /// as clean, so the next apply re-solves them — budget permitting —
+    /// and governance self-heals.
+    stale: bool,
+    /// Leaves under the node (1 for a leaf) and the interests its inner
+    /// partition cut: counters folded into every outcome that reuses the
+    /// entry.
+    num_leaves: usize,
+    cut_edges: usize,
+    cut_mass: f64,
+    /// Streams the node's own repair pass dropped (0 for a leaf).
     repaired: usize,
-    /// The inner-shard solutions behind [`Self::local`].
-    inner: Vec<InnerCacheEntry>,
-    /// `true` when any inner solve behind [`Self::local`] was skipped by
-    /// a budget trip. Stale super-shards never match as clean, forcing a
-    /// re-plan (and fresh inner solves) on the next affordable apply.
-    stale: bool,
+    /// The leaves under a depth-2 child, reused one by one when the child
+    /// is re-planned; empty for a leaf.
+    children: Vec<CacheEntry>,
 }
 
-/// One cached inner-shard solve of a super-shard, keyed by the triple that
-/// fully determines its sub-sub-instance (up to the name, which is a
-/// label): global membership, member content, and the inner-level budget
-/// share. Ids are global so the key survives super-shard re-planning.
-#[derive(Clone, Debug)]
-struct InnerCacheEntry {
-    streams: Vec<StreamId>,
-    users: Vec<UserId>,
-    /// The inner water-filled share the cached solve ran under.
-    share: Vec<f64>,
-    /// The cached inner-local solution.
-    local: Assignment,
-    /// `true` when the cached solution is a budget-skip fallback rather
-    /// than a fresh solve (never reused as a hit).
-    stale: bool,
+impl CacheEntry {
+    fn leaf(shard: Shard, share: Vec<f64>, bound: f64, local: Assignment) -> Self {
+        CacheEntry {
+            streams: shard.streams,
+            users: shard.users,
+            share,
+            bound,
+            local,
+            stale: false,
+            num_leaves: 1,
+            cut_edges: 0,
+            cut_mass: 0.0,
+            repaired: 0,
+            children: Vec::new(),
+        }
+    }
+
+    /// The leaf entries under this entry: its children, or the entry
+    /// itself when it is a leaf.
+    fn leaves(&self) -> &[CacheEntry] {
+        if self.children.is_empty() {
+            std::slice::from_ref(self)
+        } else {
+            &self.children
+        }
+    }
 }
 
 /// The fixed id universe of an engine: the dimension bounds every update
@@ -838,12 +835,10 @@ pub struct IngestEngine {
     pending: Vec<Update>,
     current: Instance,
     assignment: Assignment,
-    cache: Vec<ShardCacheEntry>,
+    /// One entry per child of the committed root partition.
+    cache: Vec<CacheEntry>,
     cached_shard_of_stream: Vec<usize>,
     cached_shard_of_user: Vec<usize>,
-    super_cache: Vec<SuperCacheEntry>,
-    cached_super_of_stream: Vec<usize>,
-    cached_super_of_user: Vec<usize>,
     last: IngestOutcome,
     metrics: IngestMetrics,
     /// Set when governance deferred an escalated full re-solve
@@ -883,9 +878,6 @@ impl IngestEngine {
             cache: Vec::new(),
             cached_shard_of_stream: vec![usize::MAX; base.num_streams()],
             cached_shard_of_user: vec![usize::MAX; base.num_users()],
-            super_cache: Vec::new(),
-            cached_super_of_stream: vec![usize::MAX; base.num_streams()],
-            cached_super_of_user: vec![usize::MAX; base.num_users()],
             model,
             pending: Vec::new(),
             last: IngestOutcome {
@@ -1221,10 +1213,26 @@ impl IngestEngine {
         }
     }
 
-    /// The incremental core: refreshes the partition, determines dirty
-    /// shards from `touched`, re-solves them, and re-runs the global
-    /// passes. Commits `current`, `assignment`, the cache and `last` on
-    /// success (see the module docs for the equivalence argument).
+    /// The incremental core, one path at either tree depth: refreshes the
+    /// root partition, matches its children against the cache, re-solves
+    /// the leaves that changed, and re-runs the per-child and root tails.
+    /// Commits `current`, `assignment`, the cache and `last` on success
+    /// (see the module docs for the equivalence argument).
+    ///
+    /// The root ([`HierarchicalSharding`]) is built by the function
+    /// [`solve_sharded`] uses. A child is *clean* when its membership, its
+    /// content (no touched member) and its water-filled budget share are
+    /// unchanged: its cached solution, bound and counters are reused
+    /// wholesale. Dirty children are re-planned, and inside them a leaf
+    /// whose `(global membership, untouched content, share)` key matches a
+    /// cached leaf skips its solve — the key fully determines the leaf's
+    /// instance (names are labels), so reuse is bit-exact even when the
+    /// child's own share moved. At depth 1 a child is its own leaf, so only
+    /// the first kind of reuse applies. Every other leaf is solved through
+    /// one governed [`solve_batch`] loop.
+    ///
+    /// [`solve_sharded`]: crate::algo::shard::solve_sharded
+    /// [`solve_batch`]: crate::algo::batch::solve_batch
     fn resolve(
         &mut self,
         touched: Touched,
@@ -1232,27 +1240,19 @@ impl IngestEngine {
         started: Instant,
         budget: SolveBudget,
     ) -> Result<Resolved, IngestError> {
-        // Two-level mode runs the hierarchical twin of the incremental
-        // path below: the same matching/dirtiness machinery applied at the
-        // coarse (super) level, with a second reuse opportunity at the
-        // inner level inside dirty super-shards.
-        if self.config.shard.super_shards > 1 {
-            return self.resolve_two_level(&touched, updates_applied, started, budget);
-        }
-        let governed = !budget.is_unlimited();
-        let threads = self.config.shard.threads;
+        let config = self.config.shard;
+        let threads = config.threads;
         let current = self.model.materialize(&self.base)?;
-        let fresh = shard_instance(&current, self.config.shard.max_streams);
-        let n = fresh.num_shards();
 
-        // Match every fresh shard against the cached partition and decide
-        // content cleanliness: identical membership, nothing touched, and
-        // a fresh (non-stale) cached solve. `candidate` keeps the raw
-        // match even when the shard is dirty: a budget-skipped solve falls
-        // back to the candidate's membership-identical stale local.
-        let mut candidate: Vec<Option<usize>> = Vec::with_capacity(n);
-        let mut matched: Vec<Option<usize>> = Vec::with_capacity(n);
-        for shard in &fresh.shards {
+        // Match every child of the fresh root against the cached partition
+        // (by first member). `candidate` keeps the raw match even when the
+        // child is dirty: leaf reuse and budget-skip fallbacks look inside
+        // it. A clean child keeps its cached bound unless a shared budget
+        // was touched (the bound depends on the full budgets).
+        let mut candidate: Vec<Option<usize>> = Vec::new();
+        let mut matched: Vec<Option<usize>> = Vec::new();
+        let root = HierarchicalSharding::with_bounds(&current, &config, |part, k| {
+            let shard = &part.shards[k];
             let j = shard
                 .streams
                 .first()
@@ -1262,68 +1262,46 @@ impl IngestEngine {
                         .users
                         .first()
                         .map(|u| self.cached_shard_of_user[u.index()])
-                });
-            let j = match j {
-                Some(j) if j < self.cache.len() => j,
-                _ => {
-                    candidate.push(None);
-                    matched.push(None);
-                    continue;
-                }
-            };
-            let entry = &self.cache[j];
-            let clean = !entry.stale
-                && entry.streams == shard.streams
-                && entry.users == shard.users
-                && !shard.streams.iter().any(|s| touched.streams[s.index()])
-                && !shard.users.iter().any(|u| touched.users[u.index()]);
-            candidate.push(Some(j));
-            matched.push(clean.then_some(j));
-        }
-
-        // Per-shard upper bounds: reused for clean shards unless a shared
-        // budget was touched (the bound depends on the full budgets).
-        let bounds: Vec<f64> = (0..n)
-            .map(|k| match matched[k] {
+                })
+                .filter(|&j| j < self.cache.len());
+            let clean = j.filter(|&j| {
+                let entry = &self.cache[j];
+                !entry.stale
+                    && entry.streams == shard.streams
+                    && entry.users == shard.users
+                    && !touched.touches(shard)
+            });
+            candidate.push(j);
+            matched.push(clean);
+            match clean {
                 Some(j) if !touched.budgets => self.cache[j].bound,
-                _ => shard_utility_bound(&current, &fresh, k),
-            })
-            .collect();
-        let shares = split_budgets(&current, &fresh, &bounds, self.config.shard.budget_slack);
+                _ => shard_utility_bound(&current, part, k),
+            }
+        });
+        let n = root.num_supers();
 
-        // Dirty = content changed, or the water-fill moved the shard's
-        // budget share (ripple from a touched shard or budget).
-        let mut dirty: Vec<bool> = (0..n)
-            .map(|k| match matched[k] {
-                Some(j) => self.cache[j].budgets != shares[k],
-                None => true,
-            })
+        // Dirty = content changed, or the water-fill moved the child's
+        // budget share (ripple from a touched child or budget).
+        let dirty: Vec<bool> = (0..n)
+            .map(|k| matched[k].is_none_or(|j| self.cache[j].share != root.shares[k]))
             .collect();
-        let dirty_shards = dirty.iter().filter(|&&d| d).count();
-
-        let cut_mass = fresh.cut_mass;
-        // Mirrors solve_sharded: the compact-lane quantization margin is
-        // part of the certificate (0 in exact mode).
-        let upper_bound = bounds.iter().sum::<f64>() + cut_mass + current.quantization_error();
+        let dirty_children = dirty.iter().filter(|&&d| d).count();
+        let upper_bound = root.upper_bound(&current);
         let dirty_fraction = if n > 0 {
-            dirty_shards as f64 / n as f64
-        } else {
-            0.0
-        };
-        let cut_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-            cut_mass / upper_bound
+            dirty_children as f64 / n as f64
         } else {
             0.0
         };
         let mut full_resolve = dirty_fraction > self.config.max_dirty_fraction
-            || cut_fraction > self.config.max_cut_fraction;
+            || fraction_of(root.supers.cut_mass, upper_bound) > self.config.max_cut_fraction;
         let mut deferred_full = false;
-        if full_resolve && governed {
+        if full_resolve {
             // DeferFull rung of the ladder: when the escalated full
-            // re-solve cannot fit the budget, stay incremental and ask
-            // background maintenance to catch up instead of blowing the
-            // latency target on this batch.
-            let full_work: u64 = fresh
+            // re-solve (every child's streams × users) cannot fit the
+            // budget, stay incremental and ask background maintenance to
+            // catch up instead of blowing the latency target on this batch.
+            let full_work: u64 = root
+                .supers
                 .shards
                 .iter()
                 .map(|s| work_units(s.streams.len(), s.users.len()))
@@ -1335,601 +1313,194 @@ impl IngestEngine {
                 deferred_full = true;
             }
         }
-        if full_resolve {
-            dirty.iter_mut().for_each(|d| *d = true);
-        }
+        // Escalation kills reuse at every level: every child is re-planned
+        // and every leaf re-solved.
+        let dirty_idx: Vec<usize> = (0..n).filter(|&k| full_resolve || dirty[k]).collect();
+        let children = root.plan(&current, &config, &dirty_idx);
 
-        // Build and solve the dirty shards through the exact path
-        // solve_sharded uses (same sub-instances, same batch solver).
-        let mut local_of_stream = vec![0usize; current.num_streams()];
-        for shard in &fresh.shards {
-            for (li, &s) in shard.streams.iter().enumerate() {
-                local_of_stream[s.index()] = li;
-            }
-        }
-        let dirty_idx: Vec<usize> = (0..n).filter(|&k| dirty[k]).collect();
-        let subs: Vec<Instance> = mmd_par::parallel_map(threads, &dirty_idx, |_, &k| {
-            build_shard_instance_with(
-                &current,
-                &fresh.shards[k],
-                &shares[k],
-                &format!("{}#shard{k}", current.name()),
-                &|s| (fresh.shard_of_stream[s.index()] == k).then(|| local_of_stream[s.index()]),
-            )
-        });
-
-        // The governed path solves in worker-sized chunks with the budget
-        // checked at each chunk boundary (never mid-kernel); per-shard
-        // solves are independent, so chunking cannot change any result.
-        // The ungoverned path keeps the single historical solve_batch call
-        // — zero overhead and bit-identity by construction.
-        let mut solved: Vec<Option<Assignment>> = Vec::with_capacity(subs.len());
-        let mut soft_tripped = false;
-        let mut hard_tripped = false;
-        if governed {
-            let chunk = mmd_par::resolve(threads).max(1);
-            let mut spent = 0u64;
-            let mut pos = 0usize;
-            while pos < subs.len() {
-                let end = (pos + chunk).min(subs.len());
-                let next_work: u64 = subs[pos..end]
-                    .iter()
-                    .map(|s| work_units(s.num_streams(), s.num_users()))
-                    .sum();
-                let elapsed = started.elapsed();
-                if !hard_tripped && budget.trips_hard(elapsed, spent, next_work) {
-                    hard_tripped = true;
-                    match budget.hard_action {
-                        DegradeAction::ShedToCache => {
-                            return Ok(Resolved::Shed { soft_tripped });
-                        }
-                        DegradeAction::DeferFull => deferred_full = true,
-                        DegradeAction::WidenGap => {}
-                    }
-                }
-                if !soft_tripped && !hard_tripped && budget.trips_soft(elapsed, spent, next_work) {
-                    soft_tripped = true;
-                }
-                if soft_tripped || hard_tripped {
-                    solved.extend((pos..end).map(|_| None));
-                    pos = end;
-                    continue;
-                }
-                let results = solve_batch(&subs[pos..end], &self.config.shard.mmd, threads);
-                for outcome in results {
-                    solved.push(Some(outcome.map_err(IngestError::Solve)?.assignment));
-                }
-                spent = spent.saturating_add(next_work);
-                pos = end;
-            }
-        } else {
-            let results = solve_batch(&subs, &self.config.shard.mmd, threads);
-            for outcome in results {
-                solved.push(Some(outcome.map_err(IngestError::Solve)?.assignment));
-            }
-        }
-
-        let mut locals: Vec<Assignment> = Vec::with_capacity(n);
-        let mut stale_flags = vec![false; n];
-        let mut skipped_shards = 0usize;
-        let mut skipped_bound = 0.0f64;
-        let mut fresh_results = solved.into_iter();
-        for k in 0..n {
-            if dirty[k] {
-                match fresh_results.next().expect("one slot per dirty shard") {
-                    Some(assignment) => locals.push(assignment),
-                    None => {
-                        // Budget-skipped dirty shard: merge the
-                        // membership-identical cached local if one exists
-                        // (index-safe — same streams and users — and
-                        // feasibility-safe, since the global repair pass
-                        // below re-enforces the real budgets), else an
-                        // empty local. Its fresh upper bound stays in the
-                        // certificate, so the bracket is sound either way.
-                        skipped_shards += 1;
-                        skipped_bound += bounds[k];
-                        stale_flags[k] = true;
-                        let shard = &fresh.shards[k];
-                        let fallback = candidate[k]
-                            .map(|j| &self.cache[j])
-                            .filter(|e| e.streams == shard.streams && e.users == shard.users)
-                            .map(|e| e.local.clone())
-                            .unwrap_or_else(|| Assignment::new(shard.users.len()));
-                        locals.push(fallback);
-                    }
-                }
-            } else {
-                let j = matched[k].expect("clean shards are matched");
-                locals.push(self.cache[j].local.clone());
-            }
-        }
-        let resolved_shards = dirty_idx.len() - skipped_shards;
-
-        // Merge, then the global reconciliation passes — identical to
-        // solve_sharded's tail.
-        let mut merged = Assignment::for_instance(&current);
-        for (shard, local) in fresh.shards.iter().zip(&locals) {
-            for (lu, &gu) in shard.users.iter().enumerate() {
-                for ls in local.streams_of(UserId::new(lu)) {
-                    merged.assign(gu, shard.streams[ls.index()]);
-                }
-            }
-        }
-        let repaired_streams = repair_budgets(&current, &mut merged);
-        if self.config.shard.global_fill && merged.check_feasible(&current).is_ok() {
-            residual_fill(&current, &mut merged);
-        }
-
-        let utility = merged.utility(&current);
-        let gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-            ((upper_bound - utility) / upper_bound).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let stale_gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-            (skipped_bound / upper_bound).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-
-        // Commit.
-        self.cache = (0..n)
-            .map(|k| ShardCacheEntry {
-                streams: fresh.shards[k].streams.clone(),
-                users: fresh.shards[k].users.clone(),
-                budgets: shares[k].clone(),
-                bound: bounds[k],
-                local: locals[k].clone(),
-                stale: stale_flags[k],
-            })
-            .collect();
-        self.cached_shard_of_stream = fresh.shard_of_stream.clone();
-        self.cached_shard_of_user = fresh.shard_of_user.clone();
-        let degraded = soft_tripped || hard_tripped || deferred_full;
-        if deferred_full {
-            self.deferred_refresh = true;
-        }
-        let outcome = IngestOutcome {
-            updates_applied,
-            num_shards: n,
-            dirty_shards,
-            resolved_shards,
-            super_shards: 0,
-            dirty_supers: 0,
-            resolved_supers: 0,
-            full_resolve,
-            utility,
-            upper_bound,
-            gap_fraction,
-            cut_edges: fresh.cut.len(),
-            cut_mass,
-            repaired_streams,
-            degraded,
-            soft_tripped,
-            hard_tripped,
-            skipped_shards,
-            stale: false,
-            stale_gap_fraction,
-            deferred_full,
-        };
-        self.current = current;
-        self.assignment = merged;
-        self.last = outcome;
-        Ok(Resolved::Committed(outcome))
-    }
-
-    /// The two-level incremental core: the hierarchical twin of
-    /// [`Self::resolve`]. The coarse partition is refreshed through
-    /// [`super_partition`] — the exact function [`solve_sharded`]'s
-    /// two-level path uses, head-splitting included — and the same
-    /// matching/dirtiness machinery is applied at the super level: a
-    /// super-shard is *clean* when its membership, its content (no touched
-    /// member) and its coarse water-filled budget share are unchanged, in
-    /// which case its cached finished assignment and counters are reused
-    /// wholesale. Dirty super-shards are re-planned ([`plan_super`]), and
-    /// inside them a second reuse level kicks in: an inner shard whose
-    /// `(global membership, untouched content, inner share)` key matches a
-    /// cached entry skips its solve — the key fully determines the
-    /// sub-sub-instance (names are labels), so reuse is bit-exact even when
-    /// the super-shard's own share moved. Everything else solves through
-    /// one flattened [`solve_batch`] across all dirty super-shards (workers
-    /// steal inner solves across supers, like the from-scratch fan-out),
-    /// then the per-super tails ([`finish_super`]) and the global passes
-    /// re-run exactly as [`solve_sharded`] runs them.
-    ///
-    /// The certificate is the super level's alone: full-budget super bounds
-    /// (cached unless a budget was touched) + coarse cut mass +
-    /// quantization mass — identical terms, and bit-identical values, to
-    /// the from-scratch two-level solve.
-    ///
-    /// [`solve_sharded`]: crate::algo::shard::solve_sharded
-    /// [`solve_batch`]: crate::algo::batch::solve_batch
-    fn resolve_two_level(
-        &mut self,
-        touched: &Touched,
-        updates_applied: usize,
-        started: Instant,
-        budget: SolveBudget,
-    ) -> Result<Resolved, IngestError> {
-        let governed = !budget.is_unlimited();
-        let config = self.config.shard;
-        let threads = config.threads;
-        let current = self.model.materialize(&self.base)?;
-        let supers = super_partition(&current, &config);
-        let n = supers.num_shards();
-
-        // Match every fresh super-shard against the cached coarse
-        // partition (by first member) and decide content cleanliness.
-        // `candidate` keeps the raw match even when the super-shard is
-        // dirty: inner-level reuse scans the candidate's inner cache.
-        let mut candidate: Vec<Option<usize>> = Vec::with_capacity(n);
-        let mut matched: Vec<Option<usize>> = Vec::with_capacity(n);
-        for shard in &supers.shards {
-            let j = shard
-                .streams
-                .first()
-                .map(|s| self.cached_super_of_stream[s.index()])
-                .or_else(|| {
-                    shard
-                        .users
-                        .first()
-                        .map(|u| self.cached_super_of_user[u.index()])
-                });
-            let j = match j {
-                Some(j) if j < self.super_cache.len() => j,
-                _ => {
-                    candidate.push(None);
-                    matched.push(None);
-                    continue;
-                }
-            };
-            let entry = &self.super_cache[j];
-            let clean = !entry.stale
-                && entry.streams == shard.streams
-                && entry.users == shard.users
-                && !shard.streams.iter().any(|s| touched.streams[s.index()])
-                && !shard.users.iter().any(|u| touched.users[u.index()]);
-            candidate.push(Some(j));
-            matched.push(clean.then_some(j));
-        }
-
-        // Super-level bounds under the FULL budgets: the water-fill weights
-        // and the only per-shard certificate terms. Reused for clean
-        // super-shards unless a shared budget was touched.
-        let bounds: Vec<f64> = (0..n)
-            .map(|k| match matched[k] {
-                Some(j) if !touched.budgets => self.super_cache[j].bound,
-                _ => shard_utility_bound(&current, &supers, k),
-            })
-            .collect();
-        let shares = split_budgets(&current, &supers, &bounds, config.budget_slack);
-
-        // Dirty = content changed, or the coarse water-fill moved the
-        // super-shard's budget share.
-        let mut dirty: Vec<bool> = (0..n)
-            .map(|k| match matched[k] {
-                Some(j) => self.super_cache[j].share != shares[k],
-                None => true,
-            })
-            .collect();
-        let dirty_supers = dirty.iter().filter(|&&d| d).count();
-        let pre_dirty = dirty.clone();
-
-        let super_cut_mass = supers.cut_mass;
-        // Mirrors the from-scratch two-level certificate: super bounds +
-        // coarse cut mass + the compact-lane quantization margin.
-        let upper_bound =
-            bounds.iter().sum::<f64>() + super_cut_mass + current.quantization_error();
-        let dirty_fraction = if n > 0 {
-            dirty_supers as f64 / n as f64
-        } else {
-            0.0
-        };
-        let cut_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-            super_cut_mass / upper_bound
-        } else {
-            0.0
-        };
-        let mut full_resolve = dirty_fraction > self.config.max_dirty_fraction
-            || cut_fraction > self.config.max_cut_fraction;
-        let mut deferred_full = false;
-        if full_resolve && governed {
-            // DeferFull rung of the ladder, coarse-level estimate: a full
-            // re-solve costs every super-shard's streams×users. When that
-            // cannot fit the budget, stay incremental and hand the catch-up
-            // to background maintenance.
-            let full_work: u64 = supers
-                .shards
-                .iter()
-                .map(|s| work_units(s.streams.len(), s.users.len()))
-                .sum();
-            let elapsed = started.elapsed();
-            if budget.trips_soft(elapsed, 0, full_work) || budget.trips_hard(elapsed, 0, full_work)
-            {
-                full_resolve = false;
-                deferred_full = true;
-            }
-        }
-        if full_resolve {
-            // Escalation kills reuse at BOTH levels: every super-shard is
-            // re-planned and every inner shard re-solved from scratch.
-            dirty.iter_mut().for_each(|d| *d = true);
-        }
-        let resolved_supers = dirty.iter().filter(|&&d| d).count();
-
-        // Re-plan the dirty super-shards — solve_sharded's plan fan-out
-        // restricted to the dirty set.
-        let mut local_of_stream = vec![0usize; current.num_streams()];
-        for shard in &supers.shards {
-            for (li, &s) in shard.streams.iter().enumerate() {
-                local_of_stream[s.index()] = li;
-            }
-        }
-        let dirty_idx: Vec<usize> = (0..n).filter(|&k| dirty[k]).collect();
-        let plans: Vec<SuperPlan> = mmd_par::parallel_map(threads, &dirty_idx, |_, &k| {
-            plan_super(&current, &supers, &local_of_stream, k, &shares[k], &config)
-        });
-
-        // Inner-level reuse inside the dirty super-shards, then one
-        // flattened solve batch over everything that missed.
-        let mut inner_members: Vec<Vec<(Vec<StreamId>, Vec<UserId>)>> =
-            Vec::with_capacity(plans.len());
-        let mut locals: Vec<Vec<Option<Assignment>>> = Vec::with_capacity(plans.len());
-        let mut owners: Vec<(usize, usize)> = Vec::new();
+        // Leaf slots of the dirty children: cache hits are filled here,
+        // misses are queued for the solve loop. (At depth 1 the candidate
+        // is its own only leaf, which a dirty child never matches.)
+        let mut leaves: Vec<Vec<CacheEntry>> = Vec::with_capacity(children.len());
+        let mut misses: Vec<(usize, usize)> = Vec::new();
         let mut dirty_shards = 0usize;
-        let mut inner_hits = 0u64;
-        for (p, &k) in dirty_idx.iter().enumerate() {
-            let plan = &plans[p];
-            let shard = &supers.shards[k];
-            let mut members = Vec::with_capacity(plan.inner.num_shards());
-            let mut local: Vec<Option<Assignment>> = Vec::with_capacity(plan.inner.num_shards());
-            for j in 0..plan.inner.num_shards() {
-                let ish = &plan.inner.shards[j];
-                let g_streams: Vec<StreamId> = ish
-                    .streams
-                    .iter()
-                    .map(|ls| shard.streams[ls.index()])
-                    .collect();
-                let g_users: Vec<UserId> =
-                    ish.users.iter().map(|lu| shard.users[lu.index()]).collect();
-                let hit = if full_resolve {
-                    None
-                } else {
-                    candidate[k].and_then(|c| {
-                        self.super_cache[c].inner.iter().find(|e| {
-                            !e.stale
-                                && e.share == plan.inner_shares[j]
-                                && e.streams == g_streams
-                                && e.users == g_users
-                                && !g_streams.iter().any(|s| touched.streams[s.index()])
-                                && !g_users.iter().any(|u| touched.users[u.index()])
-                        })
+        let mut leaf_hits = 0u64;
+        for (p, child) in children.iter().enumerate() {
+            let mut slots = Vec::with_capacity(child.num_leaves());
+            for j in 0..child.num_leaves() {
+                let (shard, share, bound) = child.leaf(j);
+                let hit = candidate[child.k].filter(|_| !full_resolve).and_then(|c| {
+                    self.cache[c].leaves().iter().find(|e| {
+                        !e.stale
+                            && e.share == share
+                            && e.streams == shard.streams
+                            && e.users == shard.users
+                            && !touched.touches(&shard)
                     })
-                };
-                match hit {
+                });
+                let local = match hit {
                     Some(e) => {
-                        inner_hits += 1;
-                        local.push(Some(e.local.clone()));
+                        leaf_hits += 1;
+                        e.local.clone()
                     }
                     None => {
-                        owners.push((p, j));
-                        if pre_dirty[k] {
-                            dirty_shards += 1;
-                        }
-                        local.push(None);
+                        misses.push((p, j));
+                        dirty_shards += usize::from(dirty[child.k]);
+                        Assignment::new(shard.users.len()) // filled by the solve loop
                     }
-                }
-                members.push((g_streams, g_users));
+                };
+                slots.push(CacheEntry::leaf(shard, share.to_vec(), bound, local));
             }
-            inner_members.push(members);
-            locals.push(local);
+            leaves.push(slots);
         }
-        let subs: Vec<Instance> = mmd_par::parallel_map(threads, &owners, |_, &(p, j)| {
-            build_inner_instance(&plans[p], j)
-        });
+        let subs: Vec<Instance> =
+            mmd_par::parallel_map(threads, &misses, |_, &(p, j)| children[p].build_leaf(j));
 
-        // Same chunked governed loop as the single-level path: budget
-        // checks only at chunk boundaries, never mid-kernel; the
-        // ungoverned path keeps the single flattened solve_batch call.
-        let mut solved: Vec<Option<Assignment>> = Vec::with_capacity(subs.len());
+        // The one governed solve loop: leaves solve in worker-sized chunks
+        // with the budget checked at each chunk boundary (never
+        // mid-kernel); leaf solves are independent, so chunking cannot
+        // change any result. An unlimited budget never trips, and one chunk
+        // spans every leaf: a single solve_batch call.
+        let chunk = if budget.is_unlimited() {
+            subs.len()
+        } else {
+            mmd_par::resolve(threads)
+        }
+        .max(1);
         let mut soft_tripped = false;
         let mut hard_tripped = false;
-        if governed {
-            let chunk = mmd_par::resolve(threads).max(1);
-            let mut spent = 0u64;
-            let mut pos = 0usize;
-            while pos < subs.len() {
-                let end = (pos + chunk).min(subs.len());
-                let next_work: u64 = subs[pos..end]
-                    .iter()
-                    .map(|s| work_units(s.num_streams(), s.num_users()))
-                    .sum();
-                let elapsed = started.elapsed();
-                if !hard_tripped && budget.trips_hard(elapsed, spent, next_work) {
-                    hard_tripped = true;
-                    match budget.hard_action {
-                        DegradeAction::ShedToCache => {
-                            return Ok(Resolved::Shed { soft_tripped });
-                        }
-                        DegradeAction::DeferFull => deferred_full = true,
-                        DegradeAction::WidenGap => {}
-                    }
-                }
-                if !soft_tripped && !hard_tripped && budget.trips_soft(elapsed, spent, next_work) {
-                    soft_tripped = true;
-                }
-                if soft_tripped || hard_tripped {
-                    solved.extend((pos..end).map(|_| None));
-                    pos = end;
-                    continue;
-                }
-                let results = solve_batch(&subs[pos..end], &config.mmd, threads);
-                for outcome in results {
-                    solved.push(Some(outcome.map_err(IngestError::Solve)?.assignment));
-                }
-                spent = spent.saturating_add(next_work);
-                pos = end;
-            }
-        } else {
-            let results = solve_batch(&subs, &config.mmd, threads);
-            for outcome in results {
-                solved.push(Some(outcome.map_err(IngestError::Solve)?.assignment));
-            }
-        }
-
-        // Fill the owner slots: fresh solves where the budget allowed,
-        // stale membership-identical cached locals (or empty locals) where
-        // it skipped. Skipped slots are remembered so the rebuilt cache
-        // can mark them — and their super-shards — stale.
-        let mut skipped_inner: Vec<Vec<bool>> =
-            locals.iter().map(|v| vec![false; v.len()]).collect();
+        let mut spent = 0u64;
         let mut skipped_shards = 0usize;
-        let mut solved_iter = solved.into_iter();
-        for &(p, j) in &owners {
-            match solved_iter.next().expect("one slot per missed inner shard") {
-                Some(assignment) => locals[p][j] = Some(assignment),
-                None => {
-                    skipped_shards += 1;
-                    skipped_inner[p][j] = true;
-                    let k = dirty_idx[p];
-                    let (g_streams, g_users) = &inner_members[p][j];
-                    let fallback = candidate[k]
-                        .and_then(|c| {
-                            self.super_cache[c]
-                                .inner
-                                .iter()
-                                .find(|e| e.streams == *g_streams && e.users == *g_users)
-                        })
-                        .map(|e| e.local.clone())
-                        .unwrap_or_else(|| Assignment::new(g_users.len()));
-                    locals[p][j] = Some(fallback);
+        for (batch, slots) in subs.chunks(chunk).zip(misses.chunks(chunk)) {
+            let next_work: u64 = batch
+                .iter()
+                .map(|s| work_units(s.num_streams(), s.num_users()))
+                .sum();
+            let elapsed = started.elapsed();
+            if !hard_tripped && budget.trips_hard(elapsed, spent, next_work) {
+                hard_tripped = true;
+                match budget.hard_action {
+                    DegradeAction::ShedToCache => return Ok(Resolved::Shed { soft_tripped }),
+                    DegradeAction::DeferFull => deferred_full = true,
+                    DegradeAction::WidenGap => {}
                 }
             }
-        }
-        let locals: Vec<Vec<Assignment>> = locals
-            .into_iter()
-            .map(|v| {
-                v.into_iter()
-                    .map(|a| a.expect("every inner shard is solved or reused"))
-                    .collect()
-            })
-            .collect();
-
-        // Per-super tails for the dirty set (merge the inner solutions,
-        // repair the share budgets, optional fill) — finish_super is the
-        // from-scratch path's own tail.
-        let idx: Vec<usize> = (0..plans.len()).collect();
-        let finished: Vec<(Assignment, usize)> = mmd_par::parallel_map(threads, &idx, |_, &p| {
-            finish_super(&plans[p], &locals[p], config.global_fill)
-        });
-
-        // Rebuild the cache (dirty super-shards from their fresh plans,
-        // clean ones wholesale) while merging globally in super order —
-        // the same order solve_sharded merges in.
-        let mut merged = Assignment::for_instance(&current);
-        let mut num_shards = 0usize;
-        let mut cut_edges = supers.cut.len();
-        let mut cut_mass = super_cut_mass;
-        let mut repaired_streams = 0usize;
-        let mut new_cache: Vec<SuperCacheEntry> = Vec::with_capacity(n);
-        let mut skipped_bound = 0.0f64;
-        let mut plans_iter = plans.iter();
-        let mut finished_iter = finished.into_iter();
-        let mut members_iter = inner_members.into_iter();
-        let mut locals_iter = locals.into_iter();
-        let mut skipped_iter = skipped_inner.into_iter();
-        for k in 0..n {
-            let entry = if dirty[k] {
-                let plan = plans_iter.next().expect("one plan per dirty super-shard");
-                let (local, repaired) = finished_iter
-                    .next()
-                    .expect("one finished tail per dirty super-shard");
-                let members = members_iter
-                    .next()
-                    .expect("one member list per dirty super-shard");
-                let inner_locals = locals_iter
-                    .next()
-                    .expect("one solution list per dirty super-shard");
-                let skip_flags = skipped_iter
-                    .next()
-                    .expect("one skip list per dirty super-shard");
-                let has_skip = skip_flags.iter().any(|&s| s);
-                if has_skip {
-                    skipped_bound += bounds[k];
+            if !soft_tripped && !hard_tripped && budget.trips_soft(elapsed, spent, next_work) {
+                soft_tripped = true;
+            }
+            if soft_tripped || hard_tripped {
+                // Budget-skipped leaves: merge the membership-identical
+                // cached leaf's stale local if one exists (index-safe, and
+                // feasibility-safe since the reconciliation passes re-enforce
+                // the real budgets), else the empty local already in the
+                // slot. The child's fresh bound stays in the certificate,
+                // so the bracket is sound either way.
+                for &(p, j) in slots {
+                    let slot = &mut leaves[p][j];
+                    slot.stale = true;
+                    let fallback = candidate[children[p].k].and_then(|c| {
+                        self.cache[c]
+                            .leaves()
+                            .iter()
+                            .find(|e| e.streams == slot.streams && e.users == slot.users)
+                    });
+                    if let Some(e) = fallback {
+                        slot.local = e.local.clone();
+                    }
+                    skipped_shards += 1;
                 }
-                let inner: Vec<InnerCacheEntry> = members
-                    .into_iter()
-                    .zip(inner_locals)
-                    .enumerate()
-                    .map(|(j, ((streams, users), ilocal))| InnerCacheEntry {
-                        streams,
-                        users,
-                        share: plan.inner_shares[j].clone(),
-                        local: ilocal,
-                        stale: skip_flags[j],
-                    })
-                    .collect();
-                SuperCacheEntry {
-                    streams: supers.shards[k].streams.clone(),
-                    users: supers.shards[k].users.clone(),
-                    share: shares[k].clone(),
-                    bound: bounds[k],
+                continue;
+            }
+            let results = solve_batch(batch, &config.mmd, threads);
+            for (&(p, j), outcome) in slots.iter().zip(results) {
+                leaves[p][j].local = outcome?.assignment;
+            }
+            spent = spent.saturating_add(next_work);
+        }
+
+        // Per-child tails (merge the leaves, and at depth 2 repair the
+        // share budgets and fill), fanned out like the solves.
+        let finished: Vec<(Assignment, usize)> =
+            mmd_par::parallel_map(threads, &children, |p, child| {
+                child.finish(leaves[p].iter().map(|e| &e.local), config.global_fill)
+            });
+
+        // Merge the children's solutions in child order (the order
+        // solve_sharded merges in) and reconcile, before the cache rebuild
+        // below allocates: the reconciliation passes over the merged
+        // assignment are sensitive to where its allocations live.
+        let mut merged = Assignment::for_instance(&current);
+        let mut finished_locals = finished.iter().map(|(local, _)| local);
+        for (k, shard) in root.supers.shards.iter().enumerate() {
+            let local = if full_resolve || dirty[k] {
+                finished_locals
+                    .next()
+                    .expect("one finished tail per dirty child")
+            } else {
+                &self.cache[matched[k].expect("clean children are matched")].local
+            };
+            merge_local(&mut merged, shard, local);
+        }
+        let mut repaired_streams = reconcile(&current, &mut merged, config.global_fill);
+        let utility = merged.utility(&current);
+
+        // Rebuild the cache: dirty children from their fresh plans, clean
+        // ones wholesale.
+        let mut num_shards = 0usize;
+        let mut cut_edges = root.supers.cut.len();
+        let mut cut_mass = root.supers.cut_mass;
+        let mut skipped_bound = 0.0f64;
+        let mut cache: Vec<CacheEntry> = Vec::with_capacity(n);
+        let mut planned = children.iter().zip(leaves).zip(finished);
+        for k in 0..n {
+            let entry = if full_resolve || dirty[k] {
+                let ((child, leaves), (local, repaired)) =
+                    planned.next().expect("one plan per dirty child");
+                let (child_cut_edges, child_cut_mass) = child.inner_cut();
+                let stale = leaves.iter().any(|e| e.stale);
+                if stale {
+                    skipped_bound += root.bounds[k];
+                }
+                let shard = &root.supers.shards[k];
+                CacheEntry {
+                    streams: shard.streams.clone(),
+                    users: shard.users.clone(),
+                    share: root.shares[k].clone(),
+                    bound: root.bounds[k],
                     local,
-                    num_inner: plan.inner.num_shards(),
-                    inner_cut_edges: plan.inner.cut.len(),
-                    inner_cut_mass: plan.inner.cut_mass,
+                    stale,
+                    num_leaves: leaves.len(),
+                    cut_edges: child_cut_edges,
+                    cut_mass: child_cut_mass,
                     repaired,
-                    inner,
-                    stale: has_skip,
+                    // A leaf child is its own leaf; its slot is not kept.
+                    children: if root.two_level { leaves } else { Vec::new() },
                 }
             } else {
-                let j = matched[k].expect("clean super-shards are matched");
-                let mut entry = self.super_cache[j].clone();
-                entry.share = shares[k].clone();
-                entry.bound = bounds[k];
+                let j = matched[k].expect("clean children are matched");
+                let mut entry = self.cache[j].clone();
+                entry.share = root.shares[k].clone();
+                entry.bound = root.bounds[k];
                 entry
             };
-            num_shards += entry.num_inner;
-            cut_edges += entry.inner_cut_edges;
-            cut_mass += entry.inner_cut_mass;
+            num_shards += entry.num_leaves;
+            cut_edges += entry.cut_edges;
+            cut_mass += entry.cut_mass;
             repaired_streams += entry.repaired;
-            for (lu, &gu) in entry.users.iter().enumerate() {
-                for ls in entry.local.streams_of(UserId::new(lu)) {
-                    merged.assign(gu, entry.streams[ls.index()]);
-                }
-            }
-            new_cache.push(entry);
+            cache.push(entry);
         }
 
-        // Global reconciliation — identical to solve_sharded's tail.
-        repaired_streams += repair_budgets(&current, &mut merged);
-        if config.global_fill && merged.check_feasible(&current).is_ok() {
-            residual_fill(&current, &mut merged);
+        // Commit. The super-level counters describe depth 2 only.
+        let resolved_shards = misses.len() - skipped_shards;
+        let two_level = root.two_level;
+        let supers = |count: usize| if two_level { count } else { 0 };
+        if two_level {
+            self.metrics.inner_cache_hits += leaf_hits;
+            self.metrics.inner_cache_misses += resolved_shards as u64;
         }
-
-        let utility = merged.utility(&current);
-        let gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-            ((upper_bound - utility) / upper_bound).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        // Skipped work attributes to the super level's certificate terms:
-        // the fraction of the upper bound owned by super-shards with at
-        // least one budget-skipped inner solve.
-        let stale_gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-            (skipped_bound / upper_bound).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-
-        // Commit.
-        let resolved_shards = owners.len() - skipped_shards;
-        self.super_cache = new_cache;
-        self.cached_super_of_stream = supers.shard_of_stream.clone();
-        self.cached_super_of_user = supers.shard_of_user.clone();
-        self.metrics.inner_cache_hits += inner_hits;
-        self.metrics.inner_cache_misses += resolved_shards as u64;
-        let degraded = soft_tripped || hard_tripped || deferred_full;
+        self.cache = cache;
+        self.cached_shard_of_stream = root.supers.shard_of_stream;
+        self.cached_shard_of_user = root.supers.shard_of_user;
         if deferred_full {
             self.deferred_refresh = true;
         }
@@ -1938,22 +1509,22 @@ impl IngestEngine {
             num_shards,
             dirty_shards,
             resolved_shards,
-            super_shards: n,
-            dirty_supers,
-            resolved_supers,
+            super_shards: supers(n),
+            dirty_supers: supers(dirty_children),
+            resolved_supers: supers(dirty_idx.len()),
             full_resolve,
             utility,
             upper_bound,
-            gap_fraction,
+            gap_fraction: fraction_of(upper_bound - utility, upper_bound),
             cut_edges,
             cut_mass,
             repaired_streams,
-            degraded,
+            degraded: soft_tripped || hard_tripped || deferred_full,
             soft_tripped,
             hard_tripped,
             skipped_shards,
             stale: false,
-            stale_gap_fraction,
+            stale_gap_fraction: fraction_of(skipped_bound, upper_bound),
             deferred_full,
         };
         self.current = current;

@@ -46,8 +46,10 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `EXPERIMENTS.md` for the
-//! paper-vs-measured evaluation.
+//! See `examples/` for runnable scenarios, and the `exp_*` experiment
+//! binaries of `mmd-bench` for the paper-vs-measured evaluation (the
+//! README lists them in its crate map and its *Scaling* and *Ingest*
+//! sections).
 
 pub use mmd_core as core;
 pub use mmd_exact as exact;

@@ -111,6 +111,11 @@ fn unconstrained_and_huge_budgets_are_bit_identical_to_ungoverned() {
     }
 }
 
+/// The shard levels every degrade-path test runs at: flat, and two-level
+/// with a cap small enough that every super-shard holds several inner
+/// shards. Both levels share one governed solve loop.
+const LEVELS: [(usize, usize); 2] = [(3, 0), (3, 2)];
+
 /// A hard trip under `WidenGap` skips every dirty-shard solve, yet the
 /// committed bracket must still bound the true optimum of the *updated*
 /// instance — verified against `mmd-exact` — and the merged assignment
@@ -125,59 +130,67 @@ fn hard_trip_widen_gap_brackets_stay_certified_versus_exact() {
     let zero = SolveBudget::default()
         .with_hard_work(0)
         .with_hard_action(DegradeAction::WidenGap);
-    for seed in 0..3u64 {
-        let inst = ClusteredConfig::contended(3, 4, 3).generate(seed);
-        let trace = ChurnConfig::mixed(40).generate(&inst, seed + 5);
-        let mut engine = IngestEngine::new(inst, config(3, 0, zero)).unwrap();
-        let mut tripped = 0usize;
-        for (b, chunk) in trace.chunks(8).enumerate() {
-            for update in chunk {
-                engine.push(update.clone()).unwrap();
-            }
-            let outcome = engine.apply().unwrap();
-            let context = format!("seed {seed} batch {b}");
-            assert!(
-                outcome.utility <= outcome.upper_bound + 1e-9,
-                "{context}: bracket inverted"
-            );
-            assert!(
-                engine
-                    .assignment()
-                    .check_feasible(engine.current_instance())
-                    .is_ok(),
-                "{context}: degraded assignment infeasible"
-            );
-            if outcome.skipped_shards > 0 {
-                tripped += 1;
-                assert!(outcome.degraded && outcome.hard_tripped, "{context}");
+    for (cap, supers) in LEVELS {
+        for seed in 0..3u64 {
+            let inst = ClusteredConfig::contended(3, 4, 3).generate(seed);
+            let trace = ChurnConfig::mixed(40).generate(&inst, seed + 5);
+            let mut engine = IngestEngine::new(inst, config(cap, supers, zero)).unwrap();
+            let mut tripped = 0usize;
+            for (b, chunk) in trace.chunks(8).enumerate() {
+                for update in chunk {
+                    engine.push(update.clone()).unwrap();
+                }
+                let outcome = engine.apply().unwrap();
+                let context = format!("supers {supers} seed {seed} batch {b}");
                 assert!(
-                    outcome.stale_gap_fraction > 0.0 && outcome.stale_gap_fraction <= 1.0,
-                    "{context}: stale gap {}",
-                    outcome.stale_gap_fraction
+                    outcome.utility <= outcome.upper_bound + 1e-9,
+                    "{context}: bracket inverted"
+                );
+                assert!(
+                    engine
+                        .assignment()
+                        .check_feasible(engine.current_instance())
+                        .is_ok(),
+                    "{context}: degraded assignment infeasible"
+                );
+                if outcome.skipped_shards > 0 {
+                    tripped += 1;
+                    assert!(outcome.degraded && outcome.hard_tripped, "{context}");
+                    assert!(
+                        outcome.stale_gap_fraction > 0.0 && outcome.stale_gap_fraction <= 1.0,
+                        "{context}: stale gap {}",
+                        outcome.stale_gap_fraction
+                    );
+                }
+                // The certificate must hold against the true optimum of the
+                // committed (updated) instance even while degraded.
+                let opt = exact_solve(engine.current_instance(), &exact_cfg)
+                    .unwrap()
+                    .value;
+                assert!(
+                    outcome.utility <= opt + 1e-9 && opt <= outcome.upper_bound + 1e-9,
+                    "{context}: {} ≤ {opt} ≤ {} violated",
+                    outcome.utility,
+                    outcome.upper_bound
                 );
             }
-            // The certificate must hold against the true optimum of the
-            // committed (updated) instance even while degraded.
-            let opt = exact_solve(engine.current_instance(), &exact_cfg)
-                .unwrap()
-                .value;
             assert!(
-                outcome.utility <= opt + 1e-9 && opt <= outcome.upper_bound + 1e-9,
-                "{context}: {} ≤ {opt} ≤ {} violated",
-                outcome.utility,
-                outcome.upper_bound
+                tripped > 0,
+                "supers {supers} seed {seed}: the zero budget never tripped"
             );
+            let m = engine.metrics();
+            assert_eq!(m.budget_hard_trips as usize, tripped);
+            assert_eq!(m.degraded_applies as usize, tripped);
+            // Maintenance heals every stale shard: back to exact scratch
+            // equality, and the healed bracket reports nothing stale.
+            engine.refresh_full().unwrap();
+            assert_matches_scratch(
+                &engine,
+                &format!("supers {supers} seed {seed} after refresh"),
+            );
+            assert_eq!(engine.last_outcome().stale_gap_fraction, 0.0);
+            assert!(!engine.last_outcome().degraded);
         }
-        assert!(tripped > 0, "seed {seed}: the zero budget never tripped");
-        let m = engine.metrics();
-        assert_eq!(m.budget_hard_trips as usize, tripped);
-        assert_eq!(m.degraded_applies as usize, tripped);
-        // Maintenance heals every stale shard: back to exact scratch
-        // equality, and the healed bracket reports nothing stale.
-        engine.refresh_full().unwrap();
-        assert_matches_scratch(&engine, &format!("seed {seed} after refresh"));
-        assert_eq!(engine.last_outcome().stale_gap_fraction, 0.0);
-        assert!(!engine.last_outcome().degraded);
     }
 }
 
@@ -185,38 +198,43 @@ fn hard_trip_widen_gap_brackets_stay_certified_versus_exact() {
 /// state untouched, pending retained, outcome marked fully stale.
 #[test]
 fn shed_to_cache_keeps_serving_the_last_committed_bracket() {
-    let inst = ClusteredConfig::decomposable(4, 5, 3).generate(9);
-    let trace = ChurnConfig::mixed(12).generate(&inst, 2);
     let zero = SolveBudget::default().with_hard_work(0); // default action: shed
-    let mut engine = IngestEngine::new(inst, config(0, 0, zero)).unwrap();
-    let before_utility = engine.utility();
-    let before_assignment = engine.assignment().clone();
-    let before_applies = engine.metrics().applies;
+    for (cap, supers) in LEVELS {
+        let inst = ClusteredConfig::decomposable(4, 5, 3).generate(9);
+        let trace = ChurnConfig::mixed(12).generate(&inst, 2);
+        let mut engine = IngestEngine::new(inst, config(cap, supers, zero)).unwrap();
+        let before_utility = engine.utility();
+        let before_assignment = engine.assignment().clone();
+        let before_applies = engine.metrics().applies;
 
-    for update in &trace {
-        engine.push(update.clone()).unwrap();
+        for update in &trace {
+            engine.push(update.clone()).unwrap();
+        }
+        let pending = engine.pending().len();
+        assert!(pending > 0);
+        let outcome = engine.apply().unwrap();
+
+        // Not an error — but nothing committed either.
+        assert!(
+            outcome.stale && outcome.degraded && outcome.hard_tripped,
+            "supers {supers}"
+        );
+        assert_eq!(outcome.stale_gap_fraction, 1.0);
+        assert_eq!(outcome.updates_applied, 0);
+        assert_eq!(outcome.utility.to_bits(), before_utility.to_bits());
+        assert_eq!(engine.assignment(), &before_assignment);
+        assert_eq!(
+            engine.pending().len(),
+            pending,
+            "supers {supers}: shed must retain the batch for a retry"
+        );
+        let m = engine.metrics();
+        assert_eq!(m.applies, before_applies, "a shed apply is not an apply");
+        assert_eq!(m.budget_hard_trips, 1);
+        assert_eq!(m.degraded_applies, 1);
+        // The committed state remains exactly the pre-batch scratch solve.
+        assert_matches_scratch(&engine, &format!("supers {supers} after shed"));
     }
-    let pending = engine.pending().len();
-    assert!(pending > 0);
-    let outcome = engine.apply().unwrap();
-
-    // Not an error — but nothing committed either.
-    assert!(outcome.stale && outcome.degraded && outcome.hard_tripped);
-    assert_eq!(outcome.stale_gap_fraction, 1.0);
-    assert_eq!(outcome.updates_applied, 0);
-    assert_eq!(outcome.utility.to_bits(), before_utility.to_bits());
-    assert_eq!(engine.assignment(), &before_assignment);
-    assert_eq!(
-        engine.pending().len(),
-        pending,
-        "shed must retain the batch for a retry"
-    );
-    let m = engine.metrics();
-    assert_eq!(m.applies, before_applies, "a shed apply is not an apply");
-    assert_eq!(m.budget_hard_trips, 1);
-    assert_eq!(m.degraded_applies, 1);
-    // The committed state remains exactly the pre-batch scratch solve.
-    assert_matches_scratch(&engine, "after shed");
 }
 
 /// `DeferFull` commits the widened bracket and asks for background
@@ -224,30 +242,35 @@ fn shed_to_cache_keeps_serving_the_last_committed_bracket() {
 /// request and restores scratch equality.
 #[test]
 fn defer_full_requests_background_refresh_and_recovers() {
-    let inst = ClusteredConfig::decomposable(4, 5, 3).generate(21);
-    let trace = ChurnConfig::mixed(16).generate(&inst, 4);
     let zero = SolveBudget::default()
         .with_hard_work(0)
         .with_hard_action(DegradeAction::DeferFull);
-    let mut engine = IngestEngine::new(inst, config(0, 0, zero)).unwrap();
-    assert!(!engine.refresh_wanted());
+    for (cap, supers) in LEVELS {
+        let inst = ClusteredConfig::decomposable(4, 5, 3).generate(21);
+        let trace = ChurnConfig::mixed(16).generate(&inst, 4);
+        let mut engine = IngestEngine::new(inst, config(cap, supers, zero)).unwrap();
+        assert!(!engine.refresh_wanted());
 
-    for update in &trace {
-        engine.push(update.clone()).unwrap();
+        for update in &trace {
+            engine.push(update.clone()).unwrap();
+        }
+        let outcome = engine.apply().unwrap();
+        assert!(
+            outcome.degraded && outcome.hard_tripped && outcome.deferred_full,
+            "supers {supers}"
+        );
+        assert!(
+            engine.refresh_wanted(),
+            "supers {supers}: a deferred full re-solve must surface to the frontend"
+        );
+        assert!(engine.pending().is_empty(), "defer commits the batch");
+        assert!(engine.metrics().deferred_full_resolves >= 1);
+        assert!(outcome.utility <= outcome.upper_bound + 1e-9);
+
+        engine.refresh_full().unwrap();
+        assert!(!engine.refresh_wanted(), "a refresh consumes the request");
+        assert_matches_scratch(&engine, &format!("supers {supers} after deferred refresh"));
     }
-    let outcome = engine.apply().unwrap();
-    assert!(outcome.degraded && outcome.hard_tripped && outcome.deferred_full);
-    assert!(
-        engine.refresh_wanted(),
-        "a deferred full re-solve must surface to the frontend"
-    );
-    assert!(engine.pending().is_empty(), "defer commits the batch");
-    assert!(engine.metrics().deferred_full_resolves >= 1);
-    assert!(outcome.utility <= outcome.upper_bound + 1e-9);
-
-    engine.refresh_full().unwrap();
-    assert!(!engine.refresh_wanted(), "a refresh consumes the request");
-    assert_matches_scratch(&engine, "after deferred refresh");
 }
 
 /// A soft-only trip always degrades to `WidenGap`: the apply commits, the
