@@ -24,7 +24,9 @@
 //! the two-level sharded solve at 1 vs `--threads` workers, with the
 //! in-harness bytes/user gate — and the report carries just those cells
 //! plus calibration. Against `--baseline` this gates the `web-*` wall
-//! times and nothing else (unmeasured cells are skipped).
+//! times and nothing else (rungs the run did not measure are skipped).
+//! It cannot write a baseline: `--web` with `--write-baseline` is a usage
+//! error.
 //!
 //! `--trend DIR` is a separate fast mode: no ladder runs. The directory is
 //! scanned for SHA-stamped `BENCH_perf.json` artifacts (one subdirectory
@@ -32,7 +34,9 @@
 //! headline table ([`mmd_bench::trend`]) is printed to stdout — and to
 //! `--summary FILE` when given.
 //!
-//! Exit codes: 0 ok, 1 regression against the baseline, 2 usage error.
+//! Exit codes: 0 ok, 1 regression against the baseline (or a baseline
+//! cell missing from a rung this run measured), 2 usage error (including
+//! a non-finite `--tolerance`).
 
 use mmd_bench::outfile::ExpArgs;
 use mmd_bench::perf::{
@@ -79,9 +83,14 @@ fn main() {
     let threads = args.threads();
     let tolerance = match args.get("tolerance").map(str::parse::<f64>) {
         None => None,
-        Some(Ok(t)) => Some(t),
-        Some(Err(_)) => fail_usage("--tolerance takes a number"),
+        Some(Ok(t)) if t.is_finite() => Some(t),
+        Some(_) => fail_usage("--tolerance takes a finite number"),
     };
+    if args.get("web").is_some() && args.get("write-baseline").is_some() {
+        // A web-only run measures only web cells: its baseline would drop
+        // every other entry.
+        fail_usage("--write-baseline needs a ladder run; it cannot be combined with --web");
+    }
 
     let report: PerfReport = if let Some(name) = args.get("web") {
         let Some(rung) = web_rung_by_name(name) else {

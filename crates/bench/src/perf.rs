@@ -1,11 +1,32 @@
 //! The machine-readable performance harness behind `BENCH_perf.json`.
 //!
 //! A standardized ladder of instance sizes (generated by `mmd-workload`
-//! from fixed seeds) is pushed through the four production solvers at one
-//! thread and at `N` threads; every cell records wall time, throughput and
-//! total utility, and the `N`-thread cells record their speedup over the
-//! single-threaded run. The emitted JSON is the artifact the perf
-//! trajectory and the CI regression gate consume.
+//! from fixed seeds) is pushed through the production solvers at one
+//! thread and at `N` threads, and the layers under them — the coverage
+//! kernel, incremental ingest, pool dispatch and the web-scale solve — are
+//! measured on micro-ladders of their own. The emitted JSON is the
+//! artifact the perf trajectory and the CI regression gate consume.
+//!
+//! Every family reports in one shape, the [`Cell`]: a `(rung, algo,
+//! threads)` key, the gated `wall_ms`, and named `extras` (utility,
+//! throughput, checksums, speedups, footprints). A paired family emits one
+//! cell per side:
+//!
+//! | family | rungs | algos |
+//! |---|---|---|
+//! | solver ladder | `xs` … `xl`, `mb` | `greedy`, `fixed-greedy`, `partial-enum`, `pipeline`, `sharded` |
+//! | coverage kernel | `cov-*` | `coverage-scalar` / `coverage-soa` |
+//! | ingest | `ing-*` | `ingest-incremental` / `ingest-full` |
+//! | pool dispatch | `pool-*` | `pool-scoped` / `pool-persistent` |
+//! | web | `web-*` | `web-gen` / `web-solve` |
+//!
+//! The report (`mmd-bench-perf/2`) is `{schema, threads,
+//! available_parallelism, calibration_ms, rungs, cells}`, each cell
+//! `{rung, algo, threads, wall_ms, extras: {..}}`. The gated cell of a
+//! `(rung, algo)` is the one with the fewest threads ([`gated_cell`]):
+//! `1` everywhere except the pool cells, which run only at
+//! [`POOL_THREADS`]. The baseline, the gate and the trend table all go
+//! through that one lookup.
 //!
 //! Cross-machine comparability: wall times are only comparable on one
 //! machine, so the committed baseline also stores a *calibration* time (a
@@ -29,7 +50,7 @@ use std::fmt;
 use std::time::Instant;
 
 /// Schema tag stamped into `BENCH_perf.json`.
-pub const REPORT_SCHEMA: &str = "mmd-bench-perf/1";
+pub const REPORT_SCHEMA: &str = "mmd-bench-perf/2";
 /// Schema tag stamped into `bench/baseline.json`.
 pub const BASELINE_SCHEMA: &str = "mmd-bench-perf-baseline/1";
 /// Default regression tolerance: fail when wall time exceeds the (machine-
@@ -292,6 +313,122 @@ impl fmt::Display for Algo {
     }
 }
 
+/// One measured cell: the one shape every measurement family reports in
+/// (see the [module docs](self)).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cell {
+    /// Rung name; with `algo`, the key baseline entries match.
+    pub rung: String,
+    /// What ran on the rung: a solver ([`Algo::name`]) or one side of a
+    /// paired family (`coverage-soa`, `ingest-full`, ...).
+    pub algo: String,
+    /// Worker threads used.
+    pub threads: usize,
+    /// Wall time, milliseconds — the figure the regression gate compares.
+    pub wall_ms: f64,
+    /// Every other figure of the cell, by name, in report order.
+    pub extras: Vec<(String, f64)>,
+}
+
+impl Cell {
+    /// A cell with no extras yet.
+    #[must_use]
+    pub fn new(rung: &str, algo: &str, threads: usize, wall_ms: f64) -> Self {
+        Cell {
+            rung: rung.to_string(),
+            algo: algo.to_string(),
+            threads,
+            wall_ms,
+            extras: Vec::new(),
+        }
+    }
+
+    /// Appends one extra.
+    #[must_use]
+    pub fn with(mut self, key: &str, value: f64) -> Self {
+        self.extras.push((key.to_string(), value));
+        self
+    }
+
+    /// The named extra, if the cell records it.
+    #[must_use]
+    pub fn extra(&self, key: &str) -> Option<f64> {
+        self.extras.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// The cell as a report JSON value.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let extras = self
+            .extras
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Number(*v)))
+            .collect();
+        obj(vec![
+            ("rung", Value::String(self.rung.clone())),
+            ("algo", Value::String(self.algo.clone())),
+            ("threads", Value::Number(self.threads as f64)),
+            ("wall_ms", Value::Number(self.wall_ms)),
+            ("extras", Value::Object(extras)),
+        ])
+    }
+
+    /// Parses a cell written by [`Cell::to_value`]; `None` when a key
+    /// field is missing or mistyped. Non-numeric extras are dropped.
+    #[must_use]
+    pub fn from_value(value: &Value) -> Option<Cell> {
+        let text = |key| match value.get(key) {
+            Some(Value::String(s)) => Some(s.as_str()),
+            _ => None,
+        };
+        let number = |key| match value.get(key) {
+            Some(Value::Number(n)) => Some(*n),
+            _ => None,
+        };
+        let mut cell = Cell::new(
+            text("rung")?,
+            text("algo")?,
+            number("threads")? as usize,
+            number("wall_ms")?,
+        );
+        if let Some(Value::Object(extras)) = value.get("extras") {
+            for (k, v) in extras {
+                if let Value::Number(n) = v {
+                    cell = cell.with(k, *n);
+                }
+            }
+        }
+        Some(cell)
+    }
+}
+
+/// The gated cell of `(rung, algo)`: the one with the fewest threads —
+/// the single-threaded measurement, or the fixed-width pool cell. The
+/// baseline writer, the gate and the trend table all pick cells here.
+#[must_use]
+pub fn gated_cell<'c>(cells: &'c [Cell], rung: &str, algo: &str) -> Option<&'c Cell> {
+    cells
+        .iter()
+        .filter(|c| c.rung == rung && c.algo == algo)
+        .min_by_key(|c| c.threads)
+}
+
+/// The full harness output.
+#[derive(Clone, Debug)]
+pub struct PerfReport {
+    /// The `N` in "1 vs N threads".
+    pub threads: usize,
+    /// What the host reports as available parallelism.
+    pub available_parallelism: usize,
+    /// Solver-ladder rungs measured.
+    pub rungs: Vec<Rung>,
+    /// Every measured cell, in measurement order; `(rung, algo, threads)`
+    /// is unique.
+    pub cells: Vec<Cell>,
+    /// Calibration workload wall time on this machine, milliseconds.
+    pub calibration_ms: f64,
+}
+
 /// One rung of the coverage-kernel micro-ladder: the same fixed-seed
 /// instance batch pushed through a greedy-style gain/add/remove sweep with
 /// the struct-of-arrays [`CoverageState`] and with the preserved
@@ -305,27 +442,6 @@ pub struct KernelRung {
     pub shape: Rung,
     /// Full build-up/tear-down sweeps per measurement.
     pub sweeps: usize,
-}
-
-/// One scalar-vs-SoA comparison cell (see [`KernelRung`]).
-#[derive(Clone, Debug)]
-pub struct KernelMeasurement {
-    /// Kernel rung name.
-    pub rung: &'static str,
-    /// Streams per instance.
-    pub streams: usize,
-    /// Users per instance.
-    pub users: usize,
-    /// Wall time of the scalar reference sweeps, milliseconds.
-    pub scalar_wall_ms: f64,
-    /// Wall time of the struct-of-arrays sweeps, milliseconds.
-    pub soa_wall_ms: f64,
-    /// `scalar_wall_ms / soa_wall_ms`: how much faster the SoA kernel is.
-    pub speedup_soa_vs_scalar: f64,
-    /// Sweep checksum (sum of realized gains and values); the two kernels
-    /// must agree on it to ULP-scale tolerance, which
-    /// [`run_coverage_kernel`] asserts.
-    pub checksum: f64,
 }
 
 /// One rung of the ingest micro-ladder: a fixed-seed churn trace applied
@@ -363,74 +479,6 @@ pub struct IngestRung {
     /// Assert that the incremental path beats the full re-solve on this
     /// rung (the acceptance guard for low-churn traces).
     pub expect_speedup: bool,
-}
-
-/// One measured ingest cell (see [`IngestRung`]).
-#[derive(Clone, Debug)]
-pub struct IngestMeasurement {
-    /// Ingest rung name.
-    pub rung: &'static str,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall time of the incremental replay (batch applies only), ms.
-    pub incremental_wall_ms: f64,
-    /// Wall time of the forced full-re-solve replay, ms.
-    pub full_wall_ms: f64,
-    /// `full_wall_ms / incremental_wall_ms`.
-    pub speedup_incremental_vs_full: f64,
-    /// Updates applied per second through the incremental path.
-    pub updates_per_sec: f64,
-    /// Re-solved shards over all shard-batch slots (incremental path).
-    pub resolved_shard_fraction: f64,
-    /// Final utility (the determinism fingerprint; also asserted equal
-    /// between the incremental and full paths).
-    pub utility: f64,
-}
-
-/// One measured cell of the ladder.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Rung name.
-    pub rung: &'static str,
-    /// Solver measured.
-    pub algo: Algo,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall time for the whole batch, milliseconds.
-    pub wall_ms: f64,
-    /// Instances solved per second.
-    pub instances_per_sec: f64,
-    /// Total utility over the batch (the determinism fingerprint: must be
-    /// bit-identical across thread counts).
-    pub utility: f64,
-    /// `wall(1 thread) / wall(this)`, present on multi-thread cells.
-    pub speedup: Option<f64>,
-}
-
-/// The full harness output.
-#[derive(Clone, Debug)]
-pub struct PerfReport {
-    /// The `N` in "1 vs N threads".
-    pub threads: usize,
-    /// What the host reports as available parallelism.
-    pub available_parallelism: usize,
-    /// Ladder rungs measured.
-    pub rungs: Vec<Rung>,
-    /// All cells, in (rung, algo, threads) order.
-    pub results: Vec<Measurement>,
-    /// Coverage-kernel cells (scalar vs struct-of-arrays), smallest first.
-    pub kernel: Vec<KernelMeasurement>,
-    /// Ingest cells (incremental vs forced-full re-solve), in
-    /// (rung, threads) order.
-    pub ingest: Vec<IngestMeasurement>,
-    /// Pool-dispatch cells (scoped spawn vs persistent pool), smallest
-    /// first.
-    pub pool: Vec<PoolMeasurement>,
-    /// Web-workload cells (compact lanes + two-level sharding), in
-    /// (rung, threads) order.
-    pub web: Vec<WebMeasurement>,
-    /// Calibration workload wall time on this machine, milliseconds.
-    pub calibration_ms: f64,
 }
 
 /// The coverage-kernel rungs a ladder runs. Every real ladder measures the
@@ -512,7 +560,10 @@ macro_rules! kernel_sweep {
 }
 
 /// Measures one coverage-kernel rung: the same sweeps through the scalar
-/// reference and the SoA kernel, timed separately.
+/// reference and the SoA kernel, timed separately. Returns the
+/// `coverage-scalar` and `coverage-soa` cells (single-threaded), both
+/// carrying the shape and the sweep `checksum`; the SoA cell adds
+/// `speedup_soa_vs_scalar`.
 ///
 /// # Panics
 ///
@@ -520,7 +571,7 @@ macro_rules! kernel_sweep {
 /// ULP-scale tolerance — the differential guard that keeps the perf cell
 /// honest.
 #[must_use]
-pub fn run_coverage_kernel(rung: &KernelRung) -> KernelMeasurement {
+pub fn run_coverage_kernel(rung: &KernelRung) -> Vec<Cell> {
     let instances = rung_instances(&rung.shape);
     let time = |soa: bool| -> (f64, f64) {
         let start = Instant::now();
@@ -544,15 +595,19 @@ pub fn run_coverage_kernel(rung: &KernelRung) -> KernelMeasurement {
         "kernel rung {}: scalar checksum {scalar_sum} != soa checksum {soa_sum}",
         rung.name
     );
-    KernelMeasurement {
-        rung: rung.name,
-        streams: rung.shape.streams,
-        users: rung.shape.users,
-        scalar_wall_ms,
-        soa_wall_ms,
-        speedup_soa_vs_scalar: scalar_wall_ms / soa_wall_ms.max(1e-9),
-        checksum: soa_sum,
-    }
+    let side = |algo, wall_ms| {
+        Cell::new(rung.name, algo, 1, wall_ms)
+            .with("streams", rung.shape.streams as f64)
+            .with("users", rung.shape.users as f64)
+            .with("checksum", soa_sum)
+    };
+    vec![
+        side("coverage-scalar", scalar_wall_ms),
+        side("coverage-soa", soa_wall_ms).with(
+            "speedup_soa_vs_scalar",
+            scalar_wall_ms / soa_wall_ms.max(1e-9),
+        ),
+    ]
 }
 
 /// The ingest rungs a ladder runs: a low-churn rung where incremental
@@ -622,7 +677,10 @@ pub fn ingest_rungs(ladder: Ladder) -> Vec<IngestRung> {
 /// Measures one ingest rung at one thread count: the same fixed-seed churn
 /// trace replayed through the incremental engine and through a twin forced
 /// to full re-solves, engine construction (the initial solve) outside the
-/// clock so the cells isolate steady-state batch cost.
+/// clock so the cells isolate steady-state batch cost. Returns the
+/// `ingest-incremental` cell (with `speedup_incremental_vs_full`,
+/// `updates_per_sec` and `resolved_shard_fraction`) and the `ingest-full`
+/// cell, both carrying the final `utility`.
 ///
 /// # Panics
 ///
@@ -630,7 +688,7 @@ pub fn ingest_rungs(ladder: Ladder) -> Vec<IngestRung> {
 /// (the equivalence contract), or — on rungs with `expect_speedup` — if
 /// the incremental path fails to beat the full re-solve.
 #[must_use]
-pub fn run_ingest_rung(rung: &IngestRung, threads: usize) -> IngestMeasurement {
+pub fn run_ingest_rung(rung: &IngestRung, threads: usize) -> Vec<Cell> {
     let instance = if rung.web_users > 0 {
         // Amply provisioned budget: demand-capped water-fill shares are
         // stable under pure utility drift, which is what lets the
@@ -757,16 +815,25 @@ pub fn run_ingest_rung(rung: &IngestRung, threads: usize) -> IngestMeasurement {
             rung.name
         );
     }
-    IngestMeasurement {
-        rung: rung.name,
-        threads,
-        incremental_wall_ms,
-        full_wall_ms,
-        speedup_incremental_vs_full: full_wall_ms / incremental_wall_ms.max(1e-9),
-        updates_per_sec: rung.updates as f64 / (incremental_wall_ms / 1e3).max(1e-9),
-        resolved_shard_fraction,
-        utility,
-    }
+    vec![
+        Cell::new(
+            rung.name,
+            "ingest-incremental",
+            threads,
+            incremental_wall_ms,
+        )
+        .with(
+            "speedup_incremental_vs_full",
+            full_wall_ms / incremental_wall_ms.max(1e-9),
+        )
+        .with(
+            "updates_per_sec",
+            rung.updates as f64 / (incremental_wall_ms / 1e3).max(1e-9),
+        )
+        .with("resolved_shard_fraction", resolved_shard_fraction)
+        .with("utility", utility),
+        Cell::new(rung.name, "ingest-full", threads, full_wall_ms).with("utility", full_utility),
+    ]
 }
 
 /// Worker threads every pool cell runs at: a fixed two, so the cells are
@@ -801,29 +868,6 @@ pub struct PoolRung {
     /// Assert the pool strictly beats scoped spawn — the small-item guard,
     /// where per-call spawn/join overhead dominates the work.
     pub expect_speedup: bool,
-}
-
-/// One measured pool cell (see [`PoolRung`]).
-#[derive(Clone, Debug)]
-pub struct PoolMeasurement {
-    /// Pool rung name.
-    pub rung: &'static str,
-    /// Worker threads used (always [`POOL_THREADS`]).
-    pub threads: usize,
-    /// Items per mapped batch.
-    pub items: usize,
-    /// Wall time of the scoped-spawn path, milliseconds.
-    pub scoped_wall_ms: f64,
-    /// Wall time of the persistent-pool path (default grain), ms.
-    pub pool_wall_ms: f64,
-    /// `scoped_wall_ms / pool_wall_ms`.
-    pub speedup_pool_vs_scoped: f64,
-    /// `(grain, wall_ms)` for each [`POOL_GRAINS`] entry (informational;
-    /// the default-grain cell above is the gated one).
-    pub grain_wall_ms: Vec<(usize, f64)>,
-    /// Map checksum; every path and grain must agree on it bit-for-bit,
-    /// which [`run_pool_rung`] asserts.
-    pub checksum: f64,
 }
 
 /// The pool rungs a ladder runs: a compute-bound batch-shaped rung where
@@ -874,7 +918,10 @@ fn pool_kernel(index: usize, work: usize) -> f64 {
 
 /// Measures one pool rung: scoped spawn vs. the persistent pool at
 /// [`POOL_THREADS`] workers, then the [`POOL_GRAINS`] ladder through the
-/// pool.
+/// pool. Returns the `pool-scoped` and `pool-persistent` cells, both
+/// carrying `items` and the map `checksum`; the persistent cell adds
+/// `speedup_pool_vs_scoped` and one informational `grain_<g>_wall_ms`
+/// extra per grain (its own default-grain wall is the gated one).
 ///
 /// # Panics
 ///
@@ -883,7 +930,7 @@ fn pool_kernel(index: usize, work: usize) -> f64 {
 /// pool misses its speed guard across a re-measure (one retry absorbs a
 /// scheduler stall; a genuine regression fails both rounds).
 #[must_use]
-pub fn run_pool_rung(rung: &PoolRung) -> PoolMeasurement {
+pub fn run_pool_rung(rung: &PoolRung) -> Vec<Cell> {
     let items: Vec<usize> = (0..rung.items).collect();
     let work = rung.work;
     let measure = |grain: Option<usize>, scoped: bool| -> (f64, f64) {
@@ -949,16 +996,19 @@ pub fn run_pool_rung(rung: &PoolRung) -> PoolMeasurement {
             rung.name
         );
     }
-    PoolMeasurement {
-        rung: rung.name,
-        threads: POOL_THREADS,
-        items: rung.items,
-        scoped_wall_ms,
-        pool_wall_ms,
-        speedup_pool_vs_scoped: scoped_wall_ms / pool_wall_ms.max(1e-9),
-        grain_wall_ms,
-        checksum: pool_sum,
+    let side = |algo, wall_ms| {
+        Cell::new(rung.name, algo, POOL_THREADS, wall_ms)
+            .with("items", rung.items as f64)
+            .with("checksum", pool_sum)
+    };
+    let mut persistent = side("pool-persistent", pool_wall_ms).with(
+        "speedup_pool_vs_scoped",
+        scoped_wall_ms / pool_wall_ms.max(1e-9),
+    );
+    for (g, wall) in grain_wall_ms {
+        persistent = persistent.with(&format!("grain_{g}_wall_ms"), wall);
     }
+    vec![side("pool-scoped", scoped_wall_ms), persistent]
 }
 
 /// One rung of the web-workload ladder: a Zipf-popular catalog with 10⁵+
@@ -983,40 +1033,6 @@ pub struct WebRung {
     /// while the exact f64 layout needs ≈ 104. The gate is byte-exact
     /// across machines, so it asserts in-harness rather than via baseline.
     pub max_bytes_per_user: f64,
-}
-
-/// One measured web cell (see [`WebRung`]).
-#[derive(Clone, Debug)]
-pub struct WebMeasurement {
-    /// Web rung name.
-    pub rung: &'static str,
-    /// Users in the instance.
-    pub users: usize,
-    /// Streams in the catalog.
-    pub streams: usize,
-    /// Worker threads used by the two-level solve.
-    pub threads: usize,
-    /// Wall time of instance generation (single-threaded), milliseconds.
-    pub gen_wall_ms: f64,
-    /// Wall time of the two-level sharded solve, milliseconds.
-    pub solve_wall_ms: f64,
-    /// Heap bytes of the compact derived lanes.
-    pub lane_bytes: usize,
-    /// `lane_bytes / users` — the gated footprint figure.
-    pub bytes_per_user: f64,
-    /// Certified lower bound (the determinism fingerprint; asserted
-    /// bit-identical across thread counts).
-    pub utility: f64,
-    /// Certified upper bound (quantization error already folded in).
-    pub upper_bound: f64,
-    /// Relative optimality gap `(upper_bound − utility) / upper_bound`.
-    pub gap_fraction: f64,
-    /// Inner shards solved across all super-shards.
-    pub num_shards: usize,
-    /// Stream-weighted super-shard skew (largest / mean streams per
-    /// super-shard) after head splitting — the observable the
-    /// `head_split_skew` trigger acts on.
-    pub skew_ratio: f64,
 }
 
 /// The web rungs a ladder runs: the 10⁵-user rung everywhere (it is the
@@ -1073,17 +1089,24 @@ pub fn web_rung_by_name(name: &str) -> Option<WebRung> {
         .find(|r| r.name == name)
 }
 
-/// Measures one web rung at one thread count: generate the compact
-/// instance (timed), gate its per-user lane footprint, then run the
-/// two-level sharded solve (timed) and check its certificate.
+/// Measures one web rung: generate the compact instance once (timed,
+/// single-threaded), gate its per-user lane footprint, then run the
+/// two-level sharded solve (timed) at 1 and at `threads` workers and check
+/// each certificate.
+///
+/// Returns the `web-gen` cell (`users`, `streams`, `lane_bytes`,
+/// `bytes_per_user`) at one thread and a `web-solve` cell per thread count
+/// (`utility`, `upper_bound` with the quantization error folded in,
+/// `gap_fraction`, `num_shards`, and `skew_ratio` — the stream-weighted
+/// super-shard skew after head splitting).
 ///
 /// # Panics
 ///
 /// Panics if the compact lanes exceed the rung's bytes-per-user ceiling,
-/// if the solve fails or produces an infeasible assignment, or if the
+/// if a solve fails or produces an infeasible assignment, or if the
 /// certificate bracket `utility ≤ upper_bound` is violated.
 #[must_use]
-pub fn run_web_rung(rung: &WebRung, threads: usize) -> WebMeasurement {
+pub fn run_web_rung(rung: &WebRung, threads: usize) -> Vec<Cell> {
     let config = WebConfig::scaled(rung.users).with_lane_mode(LaneMode::Compact);
     let start = Instant::now();
     let instance = config.generate(9_000);
@@ -1098,83 +1121,63 @@ pub fn run_web_rung(rung: &WebRung, threads: usize) -> WebMeasurement {
         rung.name,
         rung.max_bytes_per_user
     );
+    let streams = instance.num_streams() as f64;
+    let mut cells = vec![Cell::new(rung.name, "web-gen", 1, gen_wall_ms)
+        .with("users", rung.users as f64)
+        .with("streams", streams)
+        .with("lane_bytes", lane_bytes as f64)
+        .with("bytes_per_user", bytes_per_user)];
 
-    let shard = ShardConfig {
-        max_streams: rung.shard_streams,
-        super_shards: rung.super_shards,
-        ..ShardConfig::default()
+    let thread_counts = if threads > 1 {
+        vec![1, threads]
+    } else {
+        vec![1]
+    };
+    for t in thread_counts {
+        let shard = ShardConfig {
+            max_streams: rung.shard_streams,
+            super_shards: rung.super_shards,
+            ..ShardConfig::default()
+        }
+        .with_threads(t);
+        let start = Instant::now();
+        let out = algo::solve_sharded(&instance, &shard).expect("web workloads are valid");
+        let solve_wall_ms = start.elapsed().as_secs_f64() * 1e3;
+
+        assert!(
+            out.utility.is_finite() && out.utility <= out.upper_bound,
+            "web rung {}: certificate bracket violated ({} > {})",
+            rung.name,
+            out.utility,
+            out.upper_bound
+        );
+        out.assignment
+            .check_feasible(&instance)
+            .expect("two-level web solves end feasible");
+        cells.push(
+            Cell::new(rung.name, "web-solve", t, solve_wall_ms)
+                .with("users", rung.users as f64)
+                .with("streams", streams)
+                .with("utility", out.utility)
+                .with("upper_bound", out.upper_bound)
+                .with("gap_fraction", out.gap_fraction)
+                .with("num_shards", out.num_shards as f64)
+                .with("skew_ratio", out.skew_ratio),
+        );
     }
-    .with_threads(threads);
-    let start = Instant::now();
-    let out = algo::solve_sharded(&instance, &shard).expect("web workloads are valid");
-    let solve_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    assert!(
-        out.utility.is_finite() && out.utility <= out.upper_bound,
-        "web rung {}: certificate bracket violated ({} > {})",
-        rung.name,
-        out.utility,
-        out.upper_bound
-    );
-    out.assignment
-        .check_feasible(&instance)
-        .expect("two-level web solves end feasible");
-    WebMeasurement {
-        rung: rung.name,
-        users: rung.users,
-        streams: instance.num_streams(),
-        threads,
-        gen_wall_ms,
-        solve_wall_ms,
-        lane_bytes,
-        bytes_per_user,
-        utility: out.utility,
-        upper_bound: out.upper_bound,
-        gap_fraction: out.gap_fraction,
-        num_shards: out.num_shards,
-        skew_ratio: out.skew_ratio,
-    }
-}
-
-/// Runs one web rung at 1 and `threads` workers and asserts the pair is
-/// bit-identical in both certificate ends (the determinism guard).
-fn measure_web(rung: &WebRung, threads: usize) -> Vec<WebMeasurement> {
-    let one = run_web_rung(rung, 1);
-    let many = run_web_rung(rung, threads);
-    assert!(
-        one.utility.to_bits() == many.utility.to_bits()
-            && one.upper_bound.to_bits() == many.upper_bound.to_bits(),
-        "web rung {} is not deterministic across thread counts: \
-         ({}, {}) vs ({}, {})",
-        rung.name,
-        one.utility,
-        one.upper_bound,
-        many.utility,
-        many.upper_bound
-    );
-    vec![one, many]
+    cells
 }
 
 /// Runs *only* one web rung (1 vs `threads` workers) plus calibration: the
 /// fast `perf --web NAME` smoke mode CI uses to gate the web regime on
 /// every push without paying for the whole ladder. The report carries
-/// empty solver/kernel/ingest/pool sections; [`check_baseline`] skips
-/// baseline entries for cells a run did not measure, so the full baseline
-/// still gates the web cells.
+/// only web cells; [`check_baseline`] skips baseline entries whose rung
+/// this run did not measure, so the full baseline still gates the web
+/// cells.
 #[must_use]
 pub fn run_web_only(rung: &WebRung, threads: usize) -> PerfReport {
     let threads = mmd_par::resolve(threads).max(2);
-    PerfReport {
-        threads,
-        available_parallelism: mmd_par::resolve(0),
-        rungs: Vec::new(),
-        results: Vec::new(),
-        kernel: Vec::new(),
-        ingest: Vec::new(),
-        pool: Vec::new(),
-        web: measure_web(rung, threads),
-        calibration_ms: calibrate(),
-    }
+    PerfReport::assemble(threads, Vec::new(), run_web_rung(rung, threads))
 }
 
 /// Generates a rung's instance batch (single-budget workloads, fixed
@@ -1306,85 +1309,45 @@ pub fn calibrate() -> f64 {
     wall_ms
 }
 
-/// Runs the ladder at 1 and `threads` workers.
+/// Runs every family of the ladder: the solver rungs at 1 and `threads`
+/// workers, then the coverage-kernel, ingest (1 and `threads`), pool and
+/// web rungs.
 ///
 /// # Panics
 ///
-/// Panics if any solver — including the sharded path on clustered rungs —
-/// produces different total utility at different thread counts: the
-/// determinism guard.
+/// Panics if any family's in-harness guard fails, or if any solver —
+/// including the sharded path on clustered rungs — produces different
+/// total utility at different thread counts: the determinism guard, which
+/// every report runs over its multi-thread cells.
 #[must_use]
 pub fn run_ladder(ladder: Ladder, threads: usize) -> PerfReport {
     let threads = mmd_par::resolve(threads).max(2);
     let rungs = ladder.rungs();
-    let mut results = Vec::new();
+    let mut cells = Vec::new();
     for rung in &rungs {
         let instances = rung_instances(rung);
         for &algo in rung.algos {
-            let (wall_1, utility_1) = run_batch(algo, rung, &instances, 1);
-            let (wall_n, utility_n) = run_batch(algo, rung, &instances, threads);
-            assert!(
-                utility_1 == utility_n,
-                "{algo} on rung {} is not deterministic across thread counts: \
-                 {utility_1} vs {utility_n}",
-                rung.name
-            );
             let solved = (rung.instances * algo.repeats()) as f64;
-            let per_sec = |wall_ms: f64| solved / (wall_ms / 1e3).max(1e-9);
-            results.push(Measurement {
-                rung: rung.name,
-                algo,
-                threads: 1,
-                wall_ms: wall_1,
-                instances_per_sec: per_sec(wall_1),
-                utility: utility_1,
-                speedup: None,
-            });
-            results.push(Measurement {
-                rung: rung.name,
-                algo,
-                threads,
-                wall_ms: wall_n,
-                instances_per_sec: per_sec(wall_n),
-                utility: utility_n,
-                speedup: Some(wall_1 / wall_n.max(1e-9)),
-            });
+            for t in [1, threads] {
+                let (wall_ms, utility) = run_batch(algo, rung, &instances, t);
+                cells.push(
+                    Cell::new(rung.name, algo.name(), t, wall_ms)
+                        .with("instances_per_sec", solved / (wall_ms / 1e3).max(1e-9))
+                        .with("utility", utility),
+                );
+            }
         }
     }
-    let kernel = kernel_rungs(ladder)
-        .iter()
-        .map(run_coverage_kernel)
-        .collect();
-    let mut ingest = Vec::new();
+    cells.extend(kernel_rungs(ladder).iter().flat_map(run_coverage_kernel));
     for rung in &ingest_rungs(ladder) {
-        let one = run_ingest_rung(rung, 1);
-        let many = run_ingest_rung(rung, threads);
-        assert!(
-            one.utility.to_bits() == many.utility.to_bits(),
-            "ingest rung {} is not deterministic across thread counts: {} vs {}",
-            rung.name,
-            one.utility,
-            many.utility
-        );
-        ingest.push(one);
-        ingest.push(many);
+        cells.extend(run_ingest_rung(rung, 1));
+        cells.extend(run_ingest_rung(rung, threads));
     }
-    let pool = pool_rungs(ladder).iter().map(run_pool_rung).collect();
-    let web = web_rungs(ladder)
-        .iter()
-        .flat_map(|rung| measure_web(rung, threads))
-        .collect();
-    PerfReport {
-        threads,
-        available_parallelism: mmd_par::resolve(0),
-        rungs,
-        results,
-        kernel,
-        ingest,
-        pool,
-        web,
-        calibration_ms: calibrate(),
+    cells.extend(pool_rungs(ladder).iter().flat_map(run_pool_rung));
+    for rung in &web_rungs(ladder) {
+        cells.extend(run_web_rung(rung, threads));
     }
+    PerfReport::assemble(threads, rungs, cells)
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -1396,8 +1359,70 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
+/// Formats an extra for the summary table: integers without a fraction,
+/// everything else to three decimals.
+fn short(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3}")
+    }
+}
+
 impl PerfReport {
-    /// The report as a JSON value (the `BENCH_perf.json` schema).
+    /// Assembles a report over measured cells and measures calibration.
+    /// Every multi-thread cell is checked against its single-threaded twin
+    /// — `utility` and `upper_bound`, where recorded, must be bit-identical
+    /// (the determinism guard) — and gains a `speedup_vs_single_thread`
+    /// extra.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a determinism violation or a repeated
+    /// `(rung, algo, threads)` key.
+    fn assemble(threads: usize, rungs: Vec<Rung>, mut cells: Vec<Cell>) -> PerfReport {
+        for i in 0..cells.len() {
+            let (head, tail) = cells.split_at_mut(i);
+            let cell = &mut tail[0];
+            let twin = |c: &&Cell| c.rung == cell.rung && c.algo == cell.algo;
+            assert!(
+                !head.iter().filter(twin).any(|c| c.threads == cell.threads),
+                "perf cell {}/{} at {} threads is measured twice",
+                cell.rung,
+                cell.algo,
+                cell.threads
+            );
+            if cell.threads == 1 {
+                continue;
+            }
+            let Some(one) = head.iter().filter(twin).find(|c| c.threads == 1) else {
+                continue;
+            };
+            for key in ["utility", "upper_bound"] {
+                let (a, b) = (one.extra(key), cell.extra(key));
+                assert!(
+                    a.map(f64::to_bits) == b.map(f64::to_bits),
+                    "{} on rung {} is not deterministic across thread counts: \
+                     {key} {a:?} vs {b:?}",
+                    cell.algo,
+                    cell.rung
+                );
+            }
+            let speedup = one.wall_ms / cell.wall_ms.max(1e-9);
+            cell.extras
+                .push(("speedup_vs_single_thread".to_string(), speedup));
+        }
+        PerfReport {
+            threads,
+            available_parallelism: mmd_par::resolve(0),
+            rungs,
+            cells,
+            calibration_ms: calibrate(),
+        }
+    }
+
+    /// The report as a JSON value (the `BENCH_perf.json` schema, see the
+    /// [module docs](self)).
     #[must_use]
     pub fn to_value(&self) -> Value {
         let rungs = self
@@ -1413,114 +1438,6 @@ impl PerfReport {
                 ])
             })
             .collect();
-        let results = self
-            .results
-            .iter()
-            .map(|m| {
-                let mut fields = vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("algo", Value::String(m.algo.name().to_string())),
-                    ("threads", Value::Number(m.threads as f64)),
-                    ("wall_ms", Value::Number(m.wall_ms)),
-                    ("instances_per_sec", Value::Number(m.instances_per_sec)),
-                    ("utility", Value::Number(m.utility)),
-                ];
-                if let Some(s) = m.speedup {
-                    fields.push(("speedup_vs_single_thread", Value::Number(s)));
-                }
-                obj(fields)
-            })
-            .collect();
-        let kernel = self
-            .kernel
-            .iter()
-            .map(|k| {
-                obj(vec![
-                    ("rung", Value::String(k.rung.to_string())),
-                    ("streams", Value::Number(k.streams as f64)),
-                    ("users", Value::Number(k.users as f64)),
-                    ("scalar_wall_ms", Value::Number(k.scalar_wall_ms)),
-                    ("soa_wall_ms", Value::Number(k.soa_wall_ms)),
-                    (
-                        "speedup_soa_vs_scalar",
-                        Value::Number(k.speedup_soa_vs_scalar),
-                    ),
-                    ("checksum", Value::Number(k.checksum)),
-                ])
-            })
-            .collect();
-        let ingest = self
-            .ingest
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("threads", Value::Number(m.threads as f64)),
-                    ("incremental_wall_ms", Value::Number(m.incremental_wall_ms)),
-                    ("full_wall_ms", Value::Number(m.full_wall_ms)),
-                    (
-                        "speedup_incremental_vs_full",
-                        Value::Number(m.speedup_incremental_vs_full),
-                    ),
-                    ("updates_per_sec", Value::Number(m.updates_per_sec)),
-                    (
-                        "resolved_shard_fraction",
-                        Value::Number(m.resolved_shard_fraction),
-                    ),
-                    ("utility", Value::Number(m.utility)),
-                ])
-            })
-            .collect();
-        let pool = self
-            .pool
-            .iter()
-            .map(|m| {
-                let grains = m
-                    .grain_wall_ms
-                    .iter()
-                    .map(|&(grain, wall)| {
-                        obj(vec![
-                            ("grain", Value::Number(grain as f64)),
-                            ("wall_ms", Value::Number(wall)),
-                        ])
-                    })
-                    .collect();
-                obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("threads", Value::Number(m.threads as f64)),
-                    ("items", Value::Number(m.items as f64)),
-                    ("scoped_wall_ms", Value::Number(m.scoped_wall_ms)),
-                    ("pool_wall_ms", Value::Number(m.pool_wall_ms)),
-                    (
-                        "speedup_pool_vs_scoped",
-                        Value::Number(m.speedup_pool_vs_scoped),
-                    ),
-                    ("grains", Value::Array(grains)),
-                    ("checksum", Value::Number(m.checksum)),
-                ])
-            })
-            .collect();
-        let web = self
-            .web
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("users", Value::Number(m.users as f64)),
-                    ("streams", Value::Number(m.streams as f64)),
-                    ("threads", Value::Number(m.threads as f64)),
-                    ("gen_wall_ms", Value::Number(m.gen_wall_ms)),
-                    ("solve_wall_ms", Value::Number(m.solve_wall_ms)),
-                    ("lane_bytes", Value::Number(m.lane_bytes as f64)),
-                    ("bytes_per_user", Value::Number(m.bytes_per_user)),
-                    ("utility", Value::Number(m.utility)),
-                    ("upper_bound", Value::Number(m.upper_bound)),
-                    ("gap_fraction", Value::Number(m.gap_fraction)),
-                    ("num_shards", Value::Number(m.num_shards as f64)),
-                    ("skew_ratio", Value::Number(m.skew_ratio)),
-                ])
-            })
-            .collect();
         obj(vec![
             ("schema", Value::String(REPORT_SCHEMA.to_string())),
             ("threads", Value::Number(self.threads as f64)),
@@ -1530,11 +1447,10 @@ impl PerfReport {
             ),
             ("calibration_ms", Value::Number(self.calibration_ms)),
             ("rungs", Value::Array(rungs)),
-            ("results", Value::Array(results)),
-            ("coverage_kernel", Value::Array(kernel)),
-            ("ingest", Value::Array(ingest)),
-            ("pool", Value::Array(pool)),
-            ("web", Value::Array(web)),
+            (
+                "cells",
+                Value::Array(self.cells.iter().map(Cell::to_value).collect()),
+            ),
         ])
     }
 
@@ -1552,171 +1468,60 @@ impl PerfReport {
         text
     }
 
-    /// A human-readable summary table (stderr companion to the JSON).
+    /// A human-readable summary table (stderr companion to the JSON): one
+    /// row per cell, extras inline.
     #[must_use]
     pub fn to_table(&self) -> String {
         let mut t = Table::new(
             format!("perf ladder (1 vs {} threads)", self.threads),
-            &["rung", "algo", "threads", "wall ms", "inst/s", "speedup"],
+            &["rung", "algo", "threads", "wall ms", "extras"],
         );
-        for m in &self.results {
+        for c in &self.cells {
+            let extras: Vec<String> = c
+                .extras
+                .iter()
+                .map(|(k, v)| format!("{k} {}", short(*v)))
+                .collect();
             t.row(&[
-                m.rung.to_string(),
-                m.algo.name().to_string(),
-                m.threads.to_string(),
-                format!("{:.1}", m.wall_ms),
-                format!("{:.1}", m.instances_per_sec),
-                m.speedup.map_or_else(String::new, |s| format!("{s:.2}x")),
-            ]);
-        }
-        for k in &self.kernel {
-            t.row(&[
-                k.rung.to_string(),
-                "coverage-scalar".to_string(),
-                "1".to_string(),
-                format!("{:.1}", k.scalar_wall_ms),
-                String::new(),
-                String::new(),
-            ]);
-            t.row(&[
-                k.rung.to_string(),
-                "coverage-soa".to_string(),
-                "1".to_string(),
-                format!("{:.1}", k.soa_wall_ms),
-                String::new(),
-                format!("{:.2}x", k.speedup_soa_vs_scalar),
-            ]);
-        }
-        for m in &self.ingest {
-            t.row(&[
-                m.rung.to_string(),
-                "ingest-full".to_string(),
-                m.threads.to_string(),
-                format!("{:.1}", m.full_wall_ms),
-                String::new(),
-                String::new(),
-            ]);
-            t.row(&[
-                m.rung.to_string(),
-                "ingest-incremental".to_string(),
-                m.threads.to_string(),
-                format!("{:.1}", m.incremental_wall_ms),
-                format!("{:.1}", m.updates_per_sec),
-                format!("{:.2}x", m.speedup_incremental_vs_full),
-            ]);
-        }
-        for m in &self.pool {
-            t.row(&[
-                m.rung.to_string(),
-                "pool-scoped".to_string(),
-                m.threads.to_string(),
-                format!("{:.1}", m.scoped_wall_ms),
-                String::new(),
-                String::new(),
-            ]);
-            t.row(&[
-                m.rung.to_string(),
-                "pool-persistent".to_string(),
-                m.threads.to_string(),
-                format!("{:.1}", m.pool_wall_ms),
-                String::new(),
-                format!("{:.2}x", m.speedup_pool_vs_scoped),
-            ]);
-        }
-        for m in &self.web {
-            t.row(&[
-                m.rung.to_string(),
-                "web-gen".to_string(),
-                "1".to_string(),
-                format!("{:.1}", m.gen_wall_ms),
-                String::new(),
-                format!("{:.1} B/user", m.bytes_per_user),
-            ]);
-            t.row(&[
-                m.rung.to_string(),
-                "web-solve".to_string(),
-                m.threads.to_string(),
-                format!("{:.1}", m.solve_wall_ms),
-                String::new(),
-                format!(
-                    "gap {:.1}% · skew {:.2}",
-                    m.gap_fraction * 100.0,
-                    m.skew_ratio
-                ),
+                c.rung.clone(),
+                c.algo.clone(),
+                c.threads.to_string(),
+                format!("{:.1}", c.wall_ms),
+                extras.join(" · "),
             ]);
         }
         t.to_markdown()
     }
 
-    /// Derives a committable baseline from this run: the single-threaded
-    /// wall time of every cell (solver and coverage-kernel alike), plus
-    /// this machine's calibration time.
+    /// The `(rung, algo)` keys of this report, in first-measured order.
+    fn keys(&self) -> Vec<(&str, &str)> {
+        let mut keys: Vec<(&str, &str)> = Vec::new();
+        for c in &self.cells {
+            let key = (c.rung.as_str(), c.algo.as_str());
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys
+    }
+
+    /// Derives a committable baseline from this run: the wall time of
+    /// every `(rung, algo)`'s [`gated_cell`], plus this machine's
+    /// calibration time.
     #[must_use]
     pub fn to_baseline(&self) -> Value {
-        let mut entries: Vec<Value> = self
-            .results
-            .iter()
-            .filter(|m| m.threads == 1)
-            .map(|m| {
+        let entries = self
+            .keys()
+            .into_iter()
+            .filter_map(|(rung, algo)| gated_cell(&self.cells, rung, algo))
+            .map(|c| {
                 obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("algo", Value::String(m.algo.name().to_string())),
-                    ("wall_ms", Value::Number(m.wall_ms)),
+                    ("rung", Value::String(c.rung.clone())),
+                    ("algo", Value::String(c.algo.clone())),
+                    ("wall_ms", Value::Number(c.wall_ms)),
                 ])
             })
             .collect();
-        for k in &self.kernel {
-            for (algo, wall) in [
-                ("coverage-scalar", k.scalar_wall_ms),
-                ("coverage-soa", k.soa_wall_ms),
-            ] {
-                entries.push(obj(vec![
-                    ("rung", Value::String(k.rung.to_string())),
-                    ("algo", Value::String(algo.to_string())),
-                    ("wall_ms", Value::Number(wall)),
-                ]));
-            }
-        }
-        for m in self.ingest.iter().filter(|m| m.threads == 1) {
-            for (algo, wall) in [
-                ("ingest-incremental", m.incremental_wall_ms),
-                ("ingest-full", m.full_wall_ms),
-            ] {
-                entries.push(obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("algo", Value::String(algo.to_string())),
-                    ("wall_ms", Value::Number(wall)),
-                ]));
-            }
-        }
-        // Pool cells always run at the fixed POOL_THREADS worker count, so
-        // — like the coverage-kernel cells — they enter without a threads
-        // dimension.
-        for m in &self.pool {
-            for (algo, wall) in [
-                ("pool-scoped", m.scoped_wall_ms),
-                ("pool-persistent", m.pool_wall_ms),
-            ] {
-                entries.push(obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("algo", Value::String(algo.to_string())),
-                    ("wall_ms", Value::Number(wall)),
-                ]));
-            }
-        }
-        // Web cells: the generation wall is single-threaded by nature, and
-        // the solve enters from its single-threaded measurement like the
-        // solver cells (the bytes/user gate asserts in-harness and needs no
-        // baseline).
-        for m in self.web.iter().filter(|m| m.threads == 1) {
-            for (algo, wall) in [("web-gen", m.gen_wall_ms), ("web-solve", m.solve_wall_ms)] {
-                entries.push(obj(vec![
-                    ("rung", Value::String(m.rung.to_string())),
-                    ("algo", Value::String(algo.to_string())),
-                    ("wall_ms", Value::Number(wall)),
-                ]));
-            }
-        }
         obj(vec![
             ("schema", Value::String(BASELINE_SCHEMA.to_string())),
             ("tolerance", Value::Number(DEFAULT_TOLERANCE)),
@@ -1738,15 +1543,21 @@ fn number(value: &Value, what: &str) -> Result<f64, String> {
 /// The baseline's wall times are first rescaled by
 /// `report.calibration_ms / baseline.calibration_ms` so that a slower or
 /// faster machine shifts the whole baseline rather than tripping the gate;
-/// then any single-threaded cell exceeding its scaled baseline by more than
+/// then any [`gated_cell`] exceeding its scaled baseline by more than
 /// `tolerance` (the baseline's own unless overridden) is a regression.
+///
+/// An entry whose rung this run did not measure at all (the small ladder
+/// against `web-1m`, every non-web rung under `perf --web`) is skipped. An
+/// entry whose rung was measured but whose algo has no cell is an error:
+/// a renamed cell must not silently drop out of the gate.
 ///
 /// Returns the per-cell comparison log, or the list of regressions.
 ///
 /// # Errors
 ///
-/// Returns `Err` with regression descriptions (or a malformed-baseline
-/// message).
+/// Returns `Err` with regression and missing-cell descriptions, or a
+/// malformed-baseline message (including a non-finite tolerance, which
+/// would open the gate).
 pub fn check_baseline(
     report: &PerfReport,
     baseline: &Value,
@@ -1760,6 +1571,9 @@ pub fn check_baseline(
             None => DEFAULT_TOLERANCE,
         },
     };
+    if !tolerance.is_finite() {
+        return Err(shape(format!("tolerance must be finite, got {tolerance}")));
+    }
     let base_cal = number(
         baseline
             .get("calibration_ms")
@@ -1793,64 +1607,16 @@ pub fn check_baseline(
             "wall_ms",
         )
         .map_err(shape)?;
-        // Solver cells live in `results`; coverage-kernel cells in
-        // `kernel` under the `coverage-scalar` / `coverage-soa` names;
-        // ingest cells in `ingest` under `ingest-incremental` /
-        // `ingest-full`; pool cells in `pool` under `pool-scoped` /
-        // `pool-persistent`; web cells in `web` under `web-gen` /
-        // `web-solve`.
-        let measured_wall =
-            report
-                .results
-                .iter()
-                .find(|m| m.threads == 1 && m.rung == rung && m.algo.name() == algo)
-                .map(|m| m.wall_ms)
-                .or_else(|| {
-                    report.kernel.iter().find(|k| k.rung == rung).and_then(|k| {
-                        match algo.as_str() {
-                            "coverage-scalar" => Some(k.scalar_wall_ms),
-                            "coverage-soa" => Some(k.soa_wall_ms),
-                            _ => None,
-                        }
-                    })
-                })
-                .or_else(|| {
-                    report
-                        .ingest
-                        .iter()
-                        .find(|m| m.threads == 1 && m.rung == rung)
-                        .and_then(|m| match algo.as_str() {
-                            "ingest-incremental" => Some(m.incremental_wall_ms),
-                            "ingest-full" => Some(m.full_wall_ms),
-                            _ => None,
-                        })
-                })
-                .or_else(|| {
-                    report
-                        .pool
-                        .iter()
-                        .find(|m| m.rung == rung)
-                        .and_then(|m| match algo.as_str() {
-                            "pool-scoped" => Some(m.scoped_wall_ms),
-                            "pool-persistent" => Some(m.pool_wall_ms),
-                            _ => None,
-                        })
-                })
-                .or_else(|| {
-                    report
-                        .web
-                        .iter()
-                        .find(|m| m.threads == 1 && m.rung == rung)
-                        .and_then(|m| match algo.as_str() {
-                            "web-gen" => Some(m.gen_wall_ms),
-                            "web-solve" => Some(m.solve_wall_ms),
-                            _ => None,
-                        })
-                });
-        let Some(measured_wall) = measured_wall else {
-            // Baseline covers a rung this run did not measure (e.g. the
-            // small CI ladder against a full baseline): not comparable.
-            log.push(format!("{rung}/{algo}: not measured in this run, skipped"));
+        let Some(cell) = gated_cell(&report.cells, &rung, &algo) else {
+            if report.cells.iter().any(|c| c.rung == rung) {
+                regressions.push(format!(
+                    "MISSING {rung}/{algo}: rung {rung} was measured but has no {algo} cell"
+                ));
+            } else {
+                // Baseline covers a rung this run did not measure (e.g. the
+                // small CI ladder against a full baseline): not comparable.
+                log.push(format!("{rung}/{algo}: not measured in this run, skipped"));
+            }
             continue;
         };
         if base_wall < GATE_FLOOR_MS {
@@ -1862,13 +1628,13 @@ pub fn check_baseline(
         let allowed = base_wall * factor * (1.0 + tolerance);
         let line = format!(
             "{rung}/{algo}: measured {:.1} ms, allowed {:.1} ms (baseline {:.1} ms × machine {:.2} × {:.0}% headroom)",
-            measured_wall,
+            cell.wall_ms,
             allowed,
             base_wall,
             factor,
             (1.0 + tolerance) * 100.0,
         );
-        if measured_wall > allowed {
+        if cell.wall_ms > allowed {
             regressions.push(format!("REGRESSION {line}"));
         } else {
             log.push(format!("ok {line}"));
@@ -1890,82 +1656,29 @@ mod tests {
     }
 
     /// A hand-built report with fixed wall times, so gate-logic tests are
-    /// independent of real timing.
+    /// independent of real timing: every solver at 1 and 4 threads, and
+    /// both sides of one rung per paired family. 13 gated cells.
     fn synthetic_report() -> PerfReport {
-        let results = ALGOS
+        let mut cells: Vec<Cell> = ALGOS
             .iter()
-            .flat_map(|&algo| {
-                [
-                    Measurement {
-                        rung: "t0",
-                        algo,
-                        threads: 1,
-                        wall_ms: 100.0,
-                        instances_per_sec: 40.0,
-                        utility: 7.0,
-                        speedup: None,
-                    },
-                    Measurement {
-                        rung: "t0",
-                        algo,
-                        threads: 4,
-                        wall_ms: 30.0,
-                        instances_per_sec: 133.3,
-                        utility: 7.0,
-                        speedup: Some(100.0 / 30.0),
-                    },
-                ]
+            .flat_map(|algo| {
+                [(1, 100.0), (4, 30.0)]
+                    .map(|(threads, wall)| Cell::new("t0", algo.name(), threads, wall))
             })
             .collect();
+        for (rung, threads, pair) in [
+            ("cov-t0", 1, ["coverage-scalar", "coverage-soa"]),
+            ("ing-t0", 1, ["ingest-incremental", "ingest-full"]),
+            ("pool-t0", POOL_THREADS, ["pool-scoped", "pool-persistent"]),
+            ("web-t0", 1, ["web-gen", "web-solve"]),
+        ] {
+            cells.extend(pair.map(|algo| Cell::new(rung, algo, threads, 100.0)));
+        }
         PerfReport {
             threads: 4,
             available_parallelism: 4,
             rungs: Ladder::Tiny.rungs(),
-            results,
-            kernel: vec![KernelMeasurement {
-                rung: "cov-t0",
-                streams: 8,
-                users: 5,
-                scalar_wall_ms: 100.0,
-                soa_wall_ms: 100.0,
-                speedup_soa_vs_scalar: 1.0,
-                checksum: 7.0,
-            }],
-            ingest: vec![IngestMeasurement {
-                rung: "ing-t0",
-                threads: 1,
-                incremental_wall_ms: 100.0,
-                full_wall_ms: 100.0,
-                speedup_incremental_vs_full: 1.0,
-                updates_per_sec: 10.0,
-                resolved_shard_fraction: 0.5,
-                utility: 7.0,
-            }],
-            pool: vec![PoolMeasurement {
-                rung: "pool-t0",
-                threads: POOL_THREADS,
-                items: 16,
-                scoped_wall_ms: 100.0,
-                pool_wall_ms: 100.0,
-                speedup_pool_vs_scoped: 1.0,
-                grain_wall_ms: vec![(1, 100.0), (4, 100.0), (64, 100.0)],
-                checksum: 7.0,
-            }],
-            web: vec![WebMeasurement {
-                rung: "web-t0",
-                users: 3_000,
-                streams: 64,
-                threads: 1,
-                gen_wall_ms: 100.0,
-                solve_wall_ms: 100.0,
-                lane_bytes: 180_000,
-                bytes_per_user: 60.0,
-                utility: 7.0,
-                upper_bound: 8.0,
-                gap_fraction: 0.125,
-                num_shards: 4,
-                skew_ratio: 1.5,
-            }],
+            cells,
             calibration_ms: 50.0,
         }
     }
@@ -1973,125 +1686,112 @@ mod tests {
     #[test]
     fn ladder_runs_and_serializes() {
         let report = tiny_report();
-        // (t0: 4 standard algos + t1: pipeline & sharded) × 2 thread counts.
-        assert_eq!(report.results.len(), 12);
-        let json = report.to_json();
-        let parsed: Value = serde_json::from_str(&json).unwrap();
+        let parsed: Value = serde_json::from_str(&report.to_json()).unwrap();
         assert_eq!(
             parsed.get("schema"),
             Some(&Value::String(REPORT_SCHEMA.into()))
         );
-        let Some(Value::Array(results)) = parsed.get("results") else {
-            panic!("results must be an array");
+        // The serialized cells round-trip into the report's own, and
+        // (rung, algo, threads) keys are unique.
+        let Some(Value::Array(values)) = parsed.get("cells") else {
+            panic!("cells must be an array");
         };
-        assert_eq!(results.len(), 12);
-        // Multi-thread cells carry a speedup.
-        assert!(results
+        let cells: Vec<Cell> = values.iter().filter_map(Cell::from_value).collect();
+        assert_eq!(cells, report.cells);
+        let keys: std::collections::BTreeSet<_> = cells
             .iter()
-            .any(|r| r.get("speedup_vs_single_thread").is_some()));
-        // The sharded rung is measured and covered by the guard.
-        assert!(results
-            .iter()
-            .any(|r| r.get("algo") == Some(&Value::String("sharded".into()))));
-        // The coverage-kernel cells ran (their internal checksum guard
-        // passed) and landed in the artifact with both wall times.
-        assert_eq!(report.kernel.len(), 1);
-        let Some(Value::Array(kernel)) = parsed.get("coverage_kernel") else {
-            panic!("coverage_kernel must be an array");
-        };
-        assert_eq!(kernel.len(), 1);
-        assert_eq!(
-            kernel[0].get("rung"),
-            Some(&Value::String("cov-tiny".into()))
-        );
-        assert!(kernel[0].get("scalar_wall_ms").is_some());
-        assert!(kernel[0].get("soa_wall_ms").is_some());
-        assert!(kernel[0].get("speedup_soa_vs_scalar").is_some());
-        // The ingest cells ran (their internal equivalence guard passed):
-        // one rung at 1 and N threads, with both wall times serialized.
-        assert_eq!(report.ingest.len(), 2);
-        let Some(Value::Array(ingest)) = parsed.get("ingest") else {
-            panic!("ingest must be an array");
-        };
-        assert_eq!(ingest.len(), 2);
-        assert_eq!(
-            ingest[0].get("rung"),
-            Some(&Value::String("ing-tiny".into()))
-        );
-        assert!(ingest[0].get("incremental_wall_ms").is_some());
-        assert!(ingest[0].get("full_wall_ms").is_some());
-        assert!(ingest[0].get("speedup_incremental_vs_full").is_some());
-        assert!(ingest[0].get("resolved_shard_fraction").is_some());
-        // The pool-dispatch cells ran (their internal checksum guard
-        // passed) with both paths and the grain ladder serialized.
-        assert_eq!(report.pool.len(), 1);
-        let Some(Value::Array(pool)) = parsed.get("pool") else {
-            panic!("pool must be an array");
-        };
-        assert_eq!(pool.len(), 1);
-        assert_eq!(
-            pool[0].get("rung"),
-            Some(&Value::String("pool-tiny".into()))
-        );
-        assert!(pool[0].get("scoped_wall_ms").is_some());
-        assert!(pool[0].get("pool_wall_ms").is_some());
-        let Some(Value::Array(grains)) = pool[0].get("grains") else {
-            panic!("grains must be an array");
-        };
-        assert_eq!(grains.len(), POOL_GRAINS.len());
-        // The web cells ran (their in-harness bytes/user and certificate
-        // guards passed): one rung at 1 and N threads.
-        assert_eq!(report.web.len(), 2);
-        let Some(Value::Array(web)) = parsed.get("web") else {
-            panic!("web must be an array");
-        };
-        assert_eq!(web.len(), 2);
-        assert_eq!(web[0].get("rung"), Some(&Value::String("web-tiny".into())));
-        for field in [
-            "gen_wall_ms",
-            "solve_wall_ms",
-            "bytes_per_user",
-            "upper_bound",
-            "gap_fraction",
-        ] {
-            assert!(web[0].get(field).is_some(), "web cell missing {field}");
+            .map(|c| (&c.rung, &c.algo, c.threads))
+            .collect();
+        assert_eq!(keys.len(), cells.len(), "duplicate cell keys");
+        // Solver cells: (t0: 4 standard algos + t1: pipeline & sharded) ×
+        // 2 thread counts, the sharded rung measured and covered by the
+        // determinism guard, multi-thread cells carrying a speedup.
+        let solver = |c: &&Cell| c.rung == "t0" || c.rung == "t1";
+        assert_eq!(cells.iter().filter(solver).count(), 12);
+        assert!(cells.iter().filter(solver).any(|c| c.algo == "sharded"));
+        for c in cells.iter().filter(solver) {
+            assert!(c.extra("instances_per_sec").is_some() && c.extra("utility").is_some());
+            assert_eq!(c.extra("speedup_vs_single_thread").is_some(), c.threads > 1);
+        }
+        // Every paired family ran (its in-harness guards passed) and
+        // landed with the fields it has always reported: kernel and pool
+        // once, ingest and the web solve at 1 and N threads, the web
+        // generation once.
+        let pool_grains = POOL_GRAINS.map(|g| format!("grain_{g}_wall_ms"));
+        let grains: Vec<&str> = pool_grains.iter().map(String::as_str).collect();
+        let incremental = ["speedup_incremental_vs_full", "resolved_shard_fraction"];
+        let solve = ["upper_bound", "gap_fraction", "utility"];
+        let expected: [(&str, &str, usize, &[&str]); 11] = [
+            ("cov-tiny", "coverage-scalar", 1, &["checksum"]),
+            ("cov-tiny", "coverage-soa", 1, &["speedup_soa_vs_scalar"]),
+            ("ing-tiny", "ingest-incremental", 1, &incremental),
+            ("ing-tiny", "ingest-full", 1, &["utility"]),
+            ("ing-tiny", "ingest-incremental", 2, &incremental),
+            ("ing-tiny", "ingest-full", 2, &["utility"]),
+            ("pool-tiny", "pool-scoped", POOL_THREADS, &["checksum"]),
+            ("pool-tiny", "pool-persistent", POOL_THREADS, &grains),
+            ("web-tiny", "web-gen", 1, &["bytes_per_user"]),
+            ("web-tiny", "web-solve", 1, &solve),
+            ("web-tiny", "web-solve", 2, &solve),
+        ];
+        assert_eq!(cells.len(), 12 + expected.len());
+        for (rung, algo, threads, extras) in expected {
+            let cell = cells
+                .iter()
+                .find(|c| (c.rung.as_str(), c.algo.as_str(), c.threads) == (rung, algo, threads))
+                .unwrap_or_else(|| panic!("missing cell {rung}/{algo} at {threads} threads"));
+            for &extra in extras {
+                assert!(cell.extra(extra).is_some(), "{rung}/{algo} lacks {extra}");
+            }
         }
     }
 
     #[test]
     fn ingest_rung_measures_both_paths() {
         let rung = ingest_rungs(Ladder::Tiny)[0];
-        let m = run_ingest_rung(&rung, 2);
+        let cells = run_ingest_rung(&rung, 2);
         // run_ingest_rung's internal guards already asserted value
-        // equivalence and the full twin's 1.0 resolve fraction.
-        assert!(m.incremental_wall_ms > 0.0);
-        assert!(m.full_wall_ms > 0.0);
-        assert!(m.updates_per_sec > 0.0);
+        // equivalence and the full twin's dominance.
+        let [incr, full] = &cells[..] else {
+            panic!("two cells expected, got {cells:?}");
+        };
+        assert_eq!(incr.algo, "ingest-incremental");
+        assert_eq!(full.algo, "ingest-full");
+        assert!(incr.wall_ms > 0.0 && full.wall_ms > 0.0);
+        assert!(incr.extra("updates_per_sec").unwrap() > 0.0);
+        let fraction = incr.extra("resolved_shard_fraction").unwrap();
         assert!(
-            m.resolved_shard_fraction < 1.0,
-            "drift-only churn must leave some shards clean, got {}",
-            m.resolved_shard_fraction
+            fraction < 1.0,
+            "drift-only churn must leave some shards clean, got {fraction}"
         );
-        assert!(m.utility > 0.0);
+        assert!(incr.extra("utility").unwrap() > 0.0);
     }
 
     #[test]
     fn web_rung_measures_and_gates() {
         let rung = web_rungs(Ladder::Tiny)[0];
-        let m = run_web_rung(&rung, 2);
+        let cells = run_web_rung(&rung, 2);
         // run_web_rung's internal guards already asserted the bytes/user
         // ceiling, certificate bracket and feasibility.
-        assert_eq!(m.users, rung.users);
-        assert!(m.streams >= 64);
-        assert!(m.gen_wall_ms > 0.0 && m.solve_wall_ms > 0.0);
-        assert!(m.bytes_per_user > 0.0 && m.bytes_per_user <= rung.max_bytes_per_user);
-        assert!(m.utility > 0.0 && m.utility <= m.upper_bound);
-        assert!((0.0..=1.0).contains(&m.gap_fraction));
+        let [gen, one, many] = &cells[..] else {
+            panic!("three cells expected, got {cells:?}");
+        };
+        assert_eq!((gen.algo.as_str(), gen.threads), ("web-gen", 1));
+        assert_eq!((one.algo.as_str(), one.threads), ("web-solve", 1));
+        assert_eq!((many.algo.as_str(), many.threads), ("web-solve", 2));
+        assert_eq!(gen.extra("users"), Some(rung.users as f64));
+        assert!(gen.extra("streams").unwrap() >= 64.0);
+        assert!(gen.wall_ms > 0.0 && one.wall_ms > 0.0);
+        let bytes_per_user = gen.extra("bytes_per_user").unwrap();
+        assert!(bytes_per_user > 0.0 && bytes_per_user <= rung.max_bytes_per_user);
+        let utility = one.extra("utility").unwrap();
+        assert!(utility > 0.0 && utility <= one.extra("upper_bound").unwrap());
+        assert!((0.0..=1.0).contains(&one.extra("gap_fraction").unwrap()));
+        let num_shards = one.extra("num_shards").unwrap();
         assert!(
-            m.num_shards >= rung.super_shards,
+            num_shards >= rung.super_shards as f64,
             "two-level solve must split into at least one shard per \
-             super-shard, got {}",
-            m.num_shards
+             super-shard, got {num_shards}"
         );
     }
 
@@ -2111,38 +1811,42 @@ mod tests {
 
     #[test]
     fn utilities_are_thread_count_invariant() {
-        // run_ladder asserts this internally; double-check on the report.
+        // PerfReport::assemble asserts this internally; double-check on
+        // the report.
         let report = tiny_report();
-        for pair in report.results.chunks(2) {
-            assert_eq!(pair[0].utility, pair[1].utility);
-            assert_eq!(pair[0].rung, pair[1].rung);
-            assert_eq!(pair[0].algo, pair[1].algo);
+        let mut pairs = 0;
+        for many in report.cells.iter().filter(|c| c.threads > 1) {
+            if let Some(one) = report
+                .cells
+                .iter()
+                .find(|c| c.threads == 1 && c.rung == many.rung && c.algo == many.algo)
+            {
+                assert_eq!(one.extra("utility"), many.extra("utility"));
+                pairs += 1;
+            }
         }
+        // 6 solver + 2 ingest + 1 web-solve pairs.
+        assert_eq!(pairs, 9);
     }
 
-    /// Rewrites `wall_ms` on every baseline entry.
-    fn set_baseline_walls(baseline: &mut Value, wall_ms: f64) {
-        let Value::Object(fields) = baseline else {
-            panic!("baseline must be an object")
-        };
-        for (k, v) in fields.iter_mut() {
-            if k != "entries" {
-                continue;
-            }
-            let Value::Array(entries) = v else {
-                panic!("entries must be an array")
-            };
-            for e in entries {
-                let Value::Object(ef) = e else {
-                    panic!("entry must be an object")
-                };
-                for (ek, ev) in ef.iter_mut() {
-                    if ek == "wall_ms" {
-                        *ev = Value::Number(wall_ms);
-                    }
-                }
-            }
-        }
+    /// A baseline over the synthetic report's gated cells, every entry at
+    /// `wall_ms`, plus `extra` entries.
+    fn baseline(calibration_ms: f64, wall_ms: f64, extra: &[(&str, &str)]) -> Value {
+        let report = synthetic_report();
+        let keys = report.keys().into_iter().chain(extra.iter().copied());
+        let entries = keys
+            .map(|(rung, algo)| {
+                obj(vec![
+                    ("rung", Value::String(rung.into())),
+                    ("algo", Value::String(algo.into())),
+                    ("wall_ms", Value::Number(wall_ms)),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("calibration_ms", Value::Number(calibration_ms)),
+            ("entries", Value::Array(entries)),
+        ])
     }
 
     #[test]
@@ -2158,11 +1862,9 @@ mod tests {
     #[test]
     fn regression_is_detected() {
         let report = synthetic_report();
-        let mut baseline = report.to_baseline();
         // Above the gate floor but far below the measured 100 ms: every
         // cell must regress.
-        set_baseline_walls(&mut baseline, 10.0);
-        let err = check_baseline(&report, &baseline, None).unwrap_err();
+        let err = check_baseline(&report, &baseline(50.0, 10.0, &[]), None).unwrap_err();
         assert_eq!(err.len(), 13);
         assert!(err[0].starts_with("REGRESSION"));
     }
@@ -2170,9 +1872,8 @@ mod tests {
     #[test]
     fn gate_floor_skips_noise_cells() {
         let report = synthetic_report();
-        let mut baseline = report.to_baseline();
-        set_baseline_walls(&mut baseline, 1.0); // below GATE_FLOOR_MS
-        let passes = check_baseline(&report, &baseline, None).unwrap();
+        // Below GATE_FLOOR_MS.
+        let passes = check_baseline(&report, &baseline(50.0, 1.0, &[]), None).unwrap();
         assert!(
             passes.iter().all(|l| l.contains("gate floor")),
             "{passes:?}"
@@ -2182,49 +1883,30 @@ mod tests {
     #[test]
     fn calibration_rescales_the_baseline() {
         let report = synthetic_report(); // calibration 50 ms, cells 100 ms
-        let mut baseline = report.to_baseline();
-        set_baseline_walls(&mut baseline, 90.0); // 90 × 1.3 > 100: passes as-is
-        assert!(check_baseline(&report, &baseline, None).is_ok());
-        // Pretend the baseline machine was 2× faster (calibration 25 ms):
-        // allowance doubles … and a 2× slower baseline machine halves it.
-        let Value::Object(fields) = &mut baseline else {
-            panic!()
-        };
-        for (k, v) in fields.iter_mut() {
-            if k == "calibration_ms" {
-                *v = Value::Number(100.0);
-            }
-        }
+                                         // 90 × 1.3 > 100: passes as-is.
+        assert!(check_baseline(&report, &baseline(50.0, 90.0, &[]), None).is_ok());
+        // Pretend the baseline machine was 2× slower (calibration 100 ms):
         // factor = 50/100 = 0.5 → allowed 90 × 0.5 × 1.3 = 58.5 < 100.
-        let err = check_baseline(&report, &baseline, None).unwrap_err();
+        let err = check_baseline(&report, &baseline(100.0, 90.0, &[]), None).unwrap_err();
         assert_eq!(err.len(), 13);
     }
 
     #[test]
     fn baseline_skips_unmeasured_rungs() {
         let report = synthetic_report();
-        let mut baseline = report.to_baseline();
-        let Value::Object(fields) = &mut baseline else {
-            panic!()
-        };
-        for (k, v) in fields.iter_mut() {
-            if k != "entries" {
-                continue;
-            }
-            let Value::Array(entries) = v else { panic!() };
-            let mut extra = entries[0].clone();
-            let Value::Object(ef) = &mut extra else {
-                panic!()
-            };
-            for (ek, ev) in ef.iter_mut() {
-                if ek == "rung" {
-                    *ev = Value::String("xxl".into());
-                }
-            }
-            entries.push(extra);
-        }
-        let passes = check_baseline(&report, &baseline, None).unwrap();
+        let with_xxl = baseline(50.0, 100.0, &[("xxl", "greedy")]);
+        let passes = check_baseline(&report, &with_xxl, None).unwrap();
         assert!(passes.iter().any(|l| l.contains("not measured")));
+    }
+
+    #[test]
+    fn missing_algo_on_a_measured_rung_fails_the_gate() {
+        // A renamed cell: the rung ran, the baseline's algo is gone.
+        let report = synthetic_report();
+        let renamed = baseline(50.0, 100.0, &[("t0", "greedy-renamed")]);
+        let err = check_baseline(&report, &renamed, None).unwrap_err();
+        assert_eq!(err.len(), 1, "{err:?}");
+        assert!(err[0].starts_with("MISSING t0/greedy-renamed"), "{err:?}");
     }
 
     #[test]
@@ -2234,6 +1916,25 @@ mod tests {
         // With an enormous negative headroom every cell regresses.
         let err = check_baseline(&report, &baseline, Some(-0.99999)).unwrap_err();
         assert_eq!(err.len(), 13);
+    }
+
+    #[test]
+    fn non_finite_tolerance_is_rejected() {
+        // Walls far below the measurement: any finite tolerance fails the
+        // gate, so only the tolerance check can answer.
+        let report = synthetic_report();
+        let mut base = baseline(50.0, 10.0, &[]);
+        for t in [f64::NAN, f64::INFINITY] {
+            let err = check_baseline(&report, &base, Some(t)).unwrap_err();
+            assert_eq!(err.len(), 1, "{err:?}");
+            assert!(err[0].contains("tolerance must be finite"), "{err:?}");
+        }
+        // The baseline's own field is held to the same rule.
+        if let Value::Object(fields) = &mut base {
+            fields.push(("tolerance".into(), Value::Number(f64::NAN)));
+        }
+        let err = check_baseline(&report, &base, None).unwrap_err();
+        assert!(err[0].contains("tolerance must be finite"), "{err:?}");
     }
 
     #[test]

@@ -11,23 +11,34 @@
 //!
 //! Only a fixed set of [`HEADLINE_CELLS`] is tabulated: one representative
 //! cell per subsystem (solver ladder, sharded path, coverage kernel,
-//! ingest, pool dispatch). Artifacts from commits that predate a cell
-//! simply leave the column blank — the table is a union over time, never
-//! an error.
+//! ingest, pool dispatch, web solve). Artifacts from commits that predate
+//! a cell simply leave the column blank — the table is a union over time,
+//! never an error.
+//!
+//! Both report schemas are read: `mmd-bench-perf/2` cells directly, and
+//! the older per-family `mmd-bench-perf/1` sections (still among the CI
+//! artifacts the table spans) through [`cells_from_v1`] at the input edge.
 
+use crate::perf::{gated_cell, Cell, REPORT_SCHEMA};
 use crate::report::Table;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
+/// Schema tag of the first report format: one JSON section per
+/// measurement family instead of one cell list.
+pub const REPORT_SCHEMA_V1: &str = "mmd-bench-perf/1";
+
 /// The cells the trend table tracks, as `(rung, algo, column label)`.
-/// One headline per subsystem, all single-threaded (or fixed-thread) wall
-/// times so the trajectory is comparable across hosts of equal speed.
-pub const HEADLINE_CELLS: [(&str, &str, &str); 5] = [
+/// One headline per subsystem, each its [`gated_cell`] — single-threaded
+/// (or fixed-thread) wall times, so the trajectory is comparable across
+/// hosts of equal speed.
+pub const HEADLINE_CELLS: [(&str, &str, &str); 6] = [
     ("s", "pipeline", "s/pipeline"),
     ("xl", "sharded", "xl/sharded"),
     ("cov-xl", "coverage-soa", "cov-xl/soa"),
     ("ing-low", "ingest-incremental", "ing-low/incr"),
     ("pool-small", "pool-persistent", "pool-small/pool"),
+    ("web-100k", "web-solve", "web-100k/solve"),
 ];
 
 /// One commit's headline numbers: the artifact's label (its SHA-stamped
@@ -48,79 +59,75 @@ fn number_at(value: &Value, key: &str) -> Option<f64> {
     }
 }
 
-fn string_at<'v>(value: &'v Value, key: &str) -> Option<&'v str> {
-    match value.get(key) {
-        Some(Value::String(s)) => Some(s.as_str()),
+fn rows<'v>(report: &'v Value, key: &str) -> &'v [Value] {
+    match report.get(key) {
+        Some(Value::Array(rows)) => rows,
+        _ => &[],
+    }
+}
+
+/// The paired-family sides of a v1 report, as `(section, wall key,
+/// algo)`. Its `results` section already holds one cell per row.
+const V1_SIDES: [(&str, &str, &str); 8] = [
+    ("coverage_kernel", "scalar_wall_ms", "coverage-scalar"),
+    ("coverage_kernel", "soa_wall_ms", "coverage-soa"),
+    ("ingest", "incremental_wall_ms", "ingest-incremental"),
+    ("ingest", "full_wall_ms", "ingest-full"),
+    ("pool", "scoped_wall_ms", "pool-scoped"),
+    ("pool", "pool_wall_ms", "pool-persistent"),
+    ("web", "gen_wall_ms", "web-gen"),
+    ("web", "solve_wall_ms", "web-solve"),
+];
+
+/// Converts an [`REPORT_SCHEMA_V1`] report into cells: each `results` row
+/// is a cell, and each paired-family row becomes one cell per side, at
+/// the row's `threads` (`1` when the row has none). Only keys and wall
+/// times carry over — all the trend table reads.
+#[must_use]
+pub fn cells_from_v1(report: &Value) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = rows(report, "results")
+        .iter()
+        .filter_map(Cell::from_value)
+        .collect();
+    for (section, wall_key, algo) in V1_SIDES {
+        for row in rows(report, section) {
+            if let (Some(Value::String(rung)), Some(wall_ms)) =
+                (row.get("rung"), number_at(row, wall_key))
+            {
+                let threads = number_at(row, "threads").map_or(1, |t| t as usize);
+                cells.push(Cell::new(rung, algo, threads, wall_ms));
+            }
+        }
+    }
+    cells
+}
+
+/// The cells of a parsed report — v2 directly, v1 through
+/// [`cells_from_v1`] — or `None` when the value is neither.
+fn report_cells(report: &Value) -> Option<Vec<Cell>> {
+    match report.get("schema") {
+        Some(Value::String(s)) if s == REPORT_SCHEMA => Some(
+            rows(report, "cells")
+                .iter()
+                .filter_map(Cell::from_value)
+                .collect(),
+        ),
+        Some(Value::String(s)) if s == REPORT_SCHEMA_V1 => Some(cells_from_v1(report)),
         _ => None,
     }
 }
 
-/// Looks one headline cell up in a parsed `BENCH_perf.json`.
-fn cell_wall_ms(report: &Value, rung: &str, algo: &str) -> Option<f64> {
-    let rows = |key: &str| -> Option<Vec<Value>> {
-        match report.get(key) {
-            Some(Value::Array(rows)) => Some(rows.clone()),
-            _ => None,
-        }
-    };
-    if let Some(rows) = rows("results") {
-        for row in &rows {
-            if string_at(row, "rung") == Some(rung)
-                && string_at(row, "algo") == Some(algo)
-                && number_at(row, "threads") == Some(1.0)
-            {
-                return number_at(row, "wall_ms");
-            }
-        }
-    }
-    if let Some(rows) = rows("coverage_kernel") {
-        for row in &rows {
-            if string_at(row, "rung") == Some(rung) {
-                return match algo {
-                    "coverage-scalar" => number_at(row, "scalar_wall_ms"),
-                    "coverage-soa" => number_at(row, "soa_wall_ms"),
-                    _ => None,
-                };
-            }
-        }
-    }
-    if let Some(rows) = rows("ingest") {
-        for row in &rows {
-            if string_at(row, "rung") == Some(rung) && number_at(row, "threads") == Some(1.0) {
-                return match algo {
-                    "ingest-incremental" => number_at(row, "incremental_wall_ms"),
-                    "ingest-full" => number_at(row, "full_wall_ms"),
-                    _ => None,
-                };
-            }
-        }
-    }
-    if let Some(rows) = rows("pool") {
-        for row in &rows {
-            if string_at(row, "rung") == Some(rung) {
-                return match algo {
-                    "pool-scoped" => number_at(row, "scoped_wall_ms"),
-                    "pool-persistent" => number_at(row, "pool_wall_ms"),
-                    _ => None,
-                };
-            }
-        }
-    }
-    None
-}
-
-/// Extracts one [`TrendPoint`] from parsed report JSON. Returns `None`
-/// when the value is not an `mmd-bench-perf/1` report at all.
+/// Extracts one [`TrendPoint`] from parsed report JSON: each headline's
+/// [`gated_cell`] wall time. Returns `None` when the value is not a perf
+/// report of either schema.
 #[must_use]
 pub fn trend_point(label: &str, report: &Value) -> Option<TrendPoint> {
-    if string_at(report, "schema") != Some(crate::perf::REPORT_SCHEMA) {
-        return None;
-    }
+    let cells = report_cells(report)?;
     Some(TrendPoint {
         label: label.to_string(),
         cells: HEADLINE_CELLS
             .iter()
-            .map(|&(rung, algo, _)| cell_wall_ms(report, rung, algo))
+            .map(|&(rung, algo, _)| gated_cell(&cells, rung, algo).map(|c| c.wall_ms))
             .collect(),
     })
 }
@@ -167,7 +174,7 @@ pub fn load_trend_dir(dir: &Path) -> Result<Vec<TrendPoint>, String> {
 
 /// [`load_trend_dir`], also returning one human-readable note per skipped
 /// artifact (unreadable file, malformed JSON, or a JSON value that is not
-/// an `mmd-bench-perf/1` report). Partial-but-valid reports are *not*
+/// a perf report of either schema). Partial-but-valid reports are *not*
 /// skipped — missing sections simply leave their headline cells blank.
 /// The driver prints the notes so a corrupt artifact is visible in the CI
 /// log instead of silently shrinking the table.
@@ -224,8 +231,7 @@ pub fn load_trend_dir_with_notes(dir: &Path) -> Result<(Vec<TrendPoint>, Vec<Str
         match trend_point(&label, &value) {
             Some(point) => points.push(point),
             None => notes.push(format!(
-                "skipped {label}: not an {} report",
-                crate::perf::REPORT_SCHEMA
+                "skipped {label}: not an {REPORT_SCHEMA} or {REPORT_SCHEMA_V1} report"
             )),
         }
     }
@@ -398,15 +404,31 @@ mod tests {
             ],
             "pool": [
                 {"rung": "pool-small", "scoped_wall_ms": 40.0, "pool_wall_ms": 20.0}
+            ],
+            "web": [
+                {"rung": "web-100k", "threads": 1, "gen_wall_ms": 300.0, "solve_wall_ms": 4000.0},
+                {"rung": "web-100k", "threads": 4, "gen_wall_ms": 310.0, "solve_wall_ms": 1500.0}
             ]
         }"#;
         let value: Value = serde_json::from_str(json).unwrap();
         let point = trend_point("abc", &value).unwrap();
         let cells: Vec<f64> = point.cells.iter().map(|c| c.unwrap()).collect();
-        assert_eq!(cells, vec![12.5, 80.0, 25.0, 30.0, 20.0]);
-        let table = trend_table(&[point]);
+        assert_eq!(cells, vec![12.5, 80.0, 25.0, 30.0, 20.0, 4000.0]);
+        let table = trend_table(std::slice::from_ref(&point));
         assert!(table.contains("12.5"), "{table}");
         assert!(table.contains("pool-small/pool"), "{table}");
+        assert!(table.contains("web-100k/solve"), "{table}");
+        // The same cells as a v2 report resolve identically: each
+        // headline is its fewest-threads cell (s/pipeline and the web
+        // solve also ran at 4 threads).
+        let v2 = Value::Object(vec![
+            ("schema".into(), Value::String(REPORT_SCHEMA.into())),
+            (
+                "cells".into(),
+                Value::Array(cells_from_v1(&value).iter().map(Cell::to_value).collect()),
+            ),
+        ]);
+        assert_eq!(trend_point("abc", &v2).unwrap().cells, point.cells);
     }
 
     #[test]

@@ -13,7 +13,7 @@ mmd-serve — long-lived allocation daemon (NDJSON over TCP)
 
 USAGE:
   mmd-serve --input FILE [--addr HOST:PORT] [--queue N] [--max-batch N]
-            [--shard-size N] [--threads N] [--sync-apply]
+            [--shard-size N] [--threads N]
             [--budget-ms N] [--budget-soft-ms N]
             [--budget-work N] [--budget-soft-work N] [--budget-action A]
 
@@ -24,8 +24,6 @@ USAGE:
   --max-batch N     max updates per `update` frame (default 1024)
   --shard-size N    target shard size in streams (0 = component granularity)
   --threads N       worker threads for shard re-solves (0 = all cores)
-  --sync-apply      run applies on the engine thread (blocks other frames
-                    during a re-solve) instead of the async solver thread
   --budget-ms N         hard wall limit per apply in milliseconds
   --budget-soft-ms N    soft wall limit per apply in milliseconds
   --budget-work N       hard work limit per apply (streams x users re-solved)
@@ -56,11 +54,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         let key = args[i].as_str();
         if key == "--help" || key == "-h" || key == "help" {
             return Err(String::new());
-        }
-        if key == "--sync-apply" {
-            config.async_apply = false;
-            i += 1;
-            continue;
         }
         let value = args
             .get(i + 1)

@@ -232,9 +232,7 @@ pub struct HealthSnapshot {
     pub queue_capacity: usize,
     /// Whether a background full re-solve is scheduled.
     pub full_resolve_scheduled: bool,
-    /// Whether applies run asynchronously on a dedicated solver thread.
-    pub async_apply: bool,
-    /// Apply epochs submitted but not yet committed (0 in sync mode).
+    /// Apply epochs submitted but not yet committed.
     pub apply_queue_lag: u64,
     /// The epoch currently applying on the solver thread (0 = none).
     pub epoch_in_flight: u64,
@@ -299,11 +297,11 @@ pub struct MetricsSnapshot {
     pub pool_workers: u64,
     /// Batches queued or executing in the solve pool (gauge).
     pub pool_depth: u64,
-    /// Apply epochs submitted but not yet committed (0 in sync mode).
+    /// Apply epochs submitted but not yet committed.
     pub apply_queue_lag: u64,
-    /// Last apply epoch handed out (0 in sync mode).
+    /// Last apply epoch handed out.
     pub epoch_submitted: u64,
-    /// Last apply epoch committed by the solver thread (0 in sync mode).
+    /// Last apply epoch committed by the solver thread.
     pub epoch_committed: u64,
     /// The epoch currently applying on the solver thread (0 = none).
     pub epoch_in_flight: u64,
@@ -715,7 +713,6 @@ impl Serialize for HealthSnapshot {
                 "full_resolve_scheduled",
                 Value::Bool(self.full_resolve_scheduled),
             ),
-            ("async_apply", Value::Bool(self.async_apply)),
             ("apply_queue_lag", count(self.apply_queue_lag)),
             ("epoch_in_flight", count(self.epoch_in_flight)),
         ])
@@ -734,7 +731,6 @@ impl Deserialize for HealthSnapshot {
             queue_depth: need_index(value, "queue_depth").map_err(shape)?,
             queue_capacity: need_index(value, "queue_capacity").map_err(shape)?,
             full_resolve_scheduled: need_bool(value, "full_resolve_scheduled").map_err(shape)?,
-            async_apply: need_bool(value, "async_apply").map_err(shape)?,
             apply_queue_lag: u64::from_value(need(value, "apply_queue_lag").map_err(shape)?)
                 .map_err(|e| serde::DeError(format!("field `apply_queue_lag`: {e}")))?,
             epoch_in_flight: u64::from_value(need(value, "epoch_in_flight").map_err(shape)?)
@@ -1176,7 +1172,6 @@ mod tests {
                 queue_depth: 0,
                 queue_capacity: 64,
                 full_resolve_scheduled: false,
-                async_apply: true,
                 apply_queue_lag: 1,
                 epoch_in_flight: 40,
             }),

@@ -18,7 +18,7 @@
 //! engine thread runs [`Service::idle`], which performs the scheduled
 //! graceful background full re-solve.
 //!
-//! With the default asynchronous backend the engine thread never blocks on
+//! Applies are asynchronous, so the engine thread never blocks on
 //! a re-solve: an `apply` comes back as a *deferred* epoch, and the
 //! connection handler that submitted it waits for the commit on its own
 //! thread while the engine keeps answering other clients' frames (health,
@@ -124,7 +124,7 @@ pub fn spawn(service: Service, addr: &str) -> std::io::Result<ServerHandle> {
                 let stop = Arc::clone(&stop);
                 let waiter = waiter.clone();
                 handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, &tx, &counters, &stop, addr, waiter.as_ref());
+                    handle_connection(stream, &tx, &counters, &stop, addr, &waiter);
                 }));
             }
             // `tx` drops here; the engine loop ends once every handler's
@@ -180,7 +180,7 @@ fn handle_connection(
     counters: &ServeCounters,
     stop: &AtomicBool,
     addr: SocketAddr,
-    waiter: Option<&ApplyWaiter>,
+    waiter: &ApplyWaiter,
 ) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -226,7 +226,7 @@ fn dispatch(
     request: Request,
     tx: &SyncSender<Job>,
     counters: &ServeCounters,
-    waiter: Option<&ApplyWaiter>,
+    waiter: &ApplyWaiter,
 ) -> Response {
     let (reply_tx, reply_rx) = sync_channel::<EngineReply>(1);
     counters.queue_depth.fetch_add(1, Ordering::Relaxed);
@@ -237,10 +237,7 @@ fn dispatch(
     }) {
         Ok(()) => match reply_rx.recv() {
             Ok(EngineReply::Now(response)) => *response,
-            Ok(EngineReply::Deferred(epoch)) => {
-                let waiter = waiter.expect("deferred replies only come from the async backend");
-                resolve_deferred(waiter, epoch)
-            }
+            Ok(EngineReply::Deferred(epoch)) => resolve_deferred(waiter, epoch),
             Err(_) => Response::Error {
                 code: ErrorCode::Unavailable,
                 message: "server is shutting down".to_string(),

@@ -1,26 +1,24 @@
-//! The request handler: one [`Service`] owns the ingest backend and maps
-//! protocol requests to engine operations.
+//! The request handler: one [`Service`] owns the asynchronous ingest engine
+//! and maps protocol requests to engine operations.
 //!
 //! A `Service` is strictly single-threaded — the daemon runs exactly one,
 //! on a dedicated engine thread, and serializes every request through it
 //! (see [`crate::server`]). That is what makes the daemon deterministic:
-//! requests are decided in queue order against one backend, so the
+//! requests are decided in queue order against one engine, so the
 //! committed state after any request prefix is a pure function of that
 //! prefix, and the equivalence contract of [`IngestEngine`] (bit-identical
 //! to a from-scratch [`solve_sharded`]) lifts to the whole daemon.
 //!
-//! Since PR 7 the default backend is **asynchronous**
-//! ([`ServeConfig::async_apply`]): the engine lives on a dedicated solver
+//! Applies are **asynchronous**: the engine lives on a dedicated solver
 //! thread behind an [`AsyncIngest`], `apply` frames enqueue an epoch and
 //! return a [`Handled::Deferred`] marker the connection handler resolves
 //! via an [`ApplyWaiter`], and queries answer from the latest committed
 //! [`IngestSnapshot`](mmd_core::IngestSnapshot) — so update frames keep
-//! getting acks while a
-//! re-solve is in flight. Determinism is unchanged: the engine thread
-//! still sequences batch *submission* in request-queue order, and the
-//! solver applies epochs strictly in that order, so every committed state
-//! is bit-identical to the synchronous path over the same request
-//! sequence.
+//! getting acks while a re-solve is in flight. Determinism holds: the
+//! engine thread sequences batch *submission* in request-queue order, and
+//! the solver applies epochs strictly in that order, so every committed
+//! state is bit-identical to an [`IngestEngine`] applying the same batches
+//! directly.
 //!
 //! [`solve_sharded`]: mmd_core::algo::shard::solve_sharded
 
@@ -50,11 +48,6 @@ pub struct ServeConfig {
     /// Maximum updates accepted in one `update` frame; larger frames are
     /// rejected as `invalid` without being enqueued.
     pub max_batch: usize,
-    /// Run applies asynchronously on a dedicated solver thread (the
-    /// default): `apply` frames return as soon as their epoch is enqueued
-    /// and queries never wait on an in-flight re-solve. `false` keeps the
-    /// fully synchronous engine — bit-identical results either way.
-    pub async_apply: bool,
 }
 
 impl Default for ServeConfig {
@@ -64,7 +57,6 @@ impl Default for ServeConfig {
             online: OnlineConfig::default(),
             queue_capacity: 64,
             max_batch: 1024,
-            async_apply: true,
         }
     }
 }
@@ -136,23 +128,13 @@ pub enum Handled {
     Deferred(u64),
 }
 
-/// The ingest state behind a service: the engine itself (synchronous
-/// mode), or an [`AsyncIngest`] plus the service-local pending queue
-/// (asynchronous mode — pending updates stay on the engine thread until
-/// an `apply` frame submits them as an epoch).
-#[derive(Debug)]
-enum Backend {
-    Sync(Box<IngestEngine>),
-    Async {
-        ingest: AsyncIngest,
-        pending: Vec<Update>,
-    },
-}
-
 /// The daemon's request handler (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Service {
-    backend: Backend,
+    ingest: AsyncIngest,
+    /// Validated updates not yet submitted: they stay on the engine thread
+    /// until an `apply` frame submits them as an epoch.
+    pending: Vec<Update>,
     config: ServeConfig,
     counters: Arc<ServeCounters>,
     full_resolve_scheduled: bool,
@@ -175,16 +157,9 @@ impl Service {
             mmd_core::LaneMode::Compact => "compact",
         };
         let engine = IngestEngine::new(instance, config.ingest)?;
-        let backend = if config.async_apply {
-            Backend::Async {
-                ingest: AsyncIngest::new(engine),
-                pending: Vec::new(),
-            }
-        } else {
-            Backend::Sync(Box::new(engine))
-        };
         Ok(Service {
-            backend,
+            ingest: AsyncIngest::new(engine),
+            pending: Vec::new(),
             config,
             counters: Arc::new(ServeCounters::default()),
             full_resolve_scheduled: false,
@@ -204,39 +179,27 @@ impl Service {
     }
 
     /// Consumes the service and returns the ingest engine with every
-    /// committed update applied — in async mode this drains and joins the
-    /// solver thread first. The post-shutdown differential hook.
+    /// committed update applied — draining and joining the solver thread
+    /// first. The post-shutdown differential hook.
     #[must_use]
     pub fn into_engine(self) -> IngestEngine {
-        match self.backend {
-            Backend::Sync(engine) => *engine,
-            Backend::Async { ingest, .. } => ingest.shutdown(),
-        }
+        self.ingest.shutdown()
     }
 
     /// A handle for resolving [`Handled::Deferred`] replies off the engine
-    /// thread; `None` in synchronous mode (which never defers).
-    pub fn apply_waiter(&self) -> Option<ApplyWaiter> {
-        match &self.backend {
-            Backend::Sync(_) => None,
-            Backend::Async { ingest, .. } => Some(ingest.waiter()),
-        }
+    /// thread.
+    pub fn apply_waiter(&self) -> ApplyWaiter {
+        self.ingest.waiter()
     }
 
     /// Updates accepted but not yet applied.
     pub fn pending_updates(&self) -> usize {
-        match &self.backend {
-            Backend::Sync(engine) => engine.pending().len(),
-            Backend::Async { pending, .. } => pending.len(),
-        }
+        self.pending.len()
     }
 
     /// The committed certificate (the last applied batch's outcome).
     pub fn certificate(&self) -> IngestOutcome {
-        match &self.backend {
-            Backend::Sync(engine) => *engine.last_outcome(),
-            Backend::Async { ingest, .. } => *ingest.snapshot().last_outcome(),
-        }
+        *self.ingest.snapshot().last_outcome()
     }
 
     /// Whether `shutdown` has been requested.
@@ -253,18 +216,13 @@ impl Service {
     pub fn handle(&mut self, request: &Request) -> Response {
         match self.handle_detached(request) {
             Handled::Now(response) => *response,
-            Handled::Deferred(epoch) => {
-                let waiter = self
-                    .apply_waiter()
-                    .expect("deferred replies only come from the async backend");
-                resolve_deferred(&waiter, epoch)
-            }
+            Handled::Deferred(epoch) => resolve_deferred(&self.apply_waiter(), epoch),
         }
     }
 
     /// Handles one request without ever blocking on a re-solve: an `apply`
-    /// in async mode returns [`Handled::Deferred`] as soon as its epoch is
-    /// enqueued, everything else answers immediately.
+    /// returns [`Handled::Deferred`] as soon as its epoch is enqueued,
+    /// everything else answers immediately.
     pub fn handle_detached(&mut self, request: &Request) -> Handled {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.draining && !matches!(request, Request::Health | Request::Metrics) {
@@ -275,30 +233,15 @@ impl Service {
         }
         let response = match request {
             Request::Update { updates, admit } => self.handle_update(updates, *admit),
-            Request::Apply => match &mut self.backend {
-                Backend::Sync(engine) => match engine.apply() {
-                    Ok(outcome) => Response::Applied {
-                        outcome: WireOutcome::from(outcome),
-                    },
-                    Err(e) => {
-                        // A rejected batch must not wedge the shared queue:
-                        // later clients' applies would keep failing on this
-                        // client's poison updates.
-                        engine.clear_pending();
-                        error_response(&e)
-                    }
-                },
-                Backend::Async { ingest, pending } => {
-                    // Submit even when empty: an empty epoch re-certifies
-                    // the committed state, exactly like a sync apply with
-                    // nothing pending — and the counters stay comparable.
-                    match ingest.apply_async(std::mem::take(pending)) {
-                        Ok(epoch) => return Handled::Deferred(epoch),
-                        // Unreachable in practice: updates were validated
-                        // at push time against the same universe.
-                        Err(e) => error_response(&e),
-                    }
-                }
+            // Submit even when empty: an empty epoch re-certifies the
+            // committed state, exactly like an engine apply with nothing
+            // pending. Taking the queue means a rejected batch cannot wedge
+            // it: later clients' applies never replay this one's poison.
+            Request::Apply => match self.ingest.apply_async(std::mem::take(&mut self.pending)) {
+                Ok(epoch) => return Handled::Deferred(epoch),
+                // Unreachable in practice: updates were validated at push
+                // time against the same universe.
+                Err(e) => error_response(&e),
             },
             Request::QueryUser { user } => self.handle_query_user(*user),
             Request::QueryStream { stream } => self.handle_query_stream(*stream),
@@ -348,18 +291,13 @@ impl Service {
                 ),
             };
         }
-        let push = match &mut self.backend {
-            Backend::Sync(engine) => engine.push_batch(updates.iter().cloned()).map(|_| ()),
-            Backend::Async { ingest, pending } => ingest.validate_batch(updates).map(|()| {
-                pending.extend(updates.iter().cloned());
-            }),
-        };
-        if let Err(e) = push {
+        if let Err(e) = self.ingest.validate_batch(updates) {
             return Response::Error {
                 code: ErrorCode::Invalid,
                 message: e.to_string(),
             };
         }
+        self.pending.extend(updates.iter().cloned());
         let admissions = if admit {
             match self.provisional() {
                 Ok(a) => Some(a),
@@ -378,12 +316,10 @@ impl Service {
         self.counters
             .admission_checks
             .fetch_add(1, Ordering::Relaxed);
-        let offers = match &self.backend {
-            Backend::Sync(engine) => engine.provisional_admissions(self.config.online)?,
-            Backend::Async { ingest, pending } => ingest
-                .snapshot()
-                .provisional_admissions(pending, self.config.online)?,
-        };
+        let offers = self
+            .ingest
+            .snapshot()
+            .provisional_admissions(&self.pending, self.config.online)?;
         let admissions: Vec<Admission> = offers.iter().map(admission).collect();
         let admitted = admissions.iter().filter(|a| a.admitted).count() as u64;
         self.counters
@@ -395,28 +331,19 @@ impl Service {
         Ok(admissions)
     }
 
-    /// Runs `f` over the committed `(instance, assignment, certificate)` —
-    /// the engine's own state in sync mode, the latest published snapshot
-    /// in async mode (never waiting on an in-flight re-solve).
+    /// Runs `f` over the committed `(instance, assignment, certificate)`
+    /// of the latest published snapshot (never waiting on an in-flight
+    /// re-solve).
     fn with_committed<R>(
         &self,
         f: impl FnOnce(&Instance, &mmd_core::Assignment, &IngestOutcome) -> R,
     ) -> R {
-        match &self.backend {
-            Backend::Sync(engine) => f(
-                engine.current_instance(),
-                engine.assignment(),
-                engine.last_outcome(),
-            ),
-            Backend::Async { ingest, .. } => {
-                let snapshot = ingest.snapshot();
-                f(
-                    snapshot.current_instance(),
-                    snapshot.assignment(),
-                    snapshot.last_outcome(),
-                )
-            }
-        }
+        let snapshot = self.ingest.snapshot();
+        f(
+            snapshot.current_instance(),
+            snapshot.assignment(),
+            snapshot.last_outcome(),
+        )
     }
 
     fn handle_query_user(&self, user: usize) -> Response {
@@ -460,98 +387,45 @@ impl Service {
     /// Runs deferred maintenance — the scheduled background full re-solve —
     /// and returns whether any work was done. The engine thread calls this
     /// only when the request queue is empty, so maintenance never delays a
-    /// live request (graceful scheduling). In async mode the refresh is
-    /// merely *submitted* here (the solver thread does the work).
+    /// live request (graceful scheduling). The refresh is merely
+    /// *submitted* here (the solver thread does the work). A governed
+    /// engine that deferred an escalated full re-solve
+    /// (`DegradeAction::DeferFull`) needs no poll here: the solver thread
+    /// picks that up itself at its own idle point.
     pub fn idle(&mut self) -> bool {
-        if self.draining {
-            return false;
-        }
-        // A governed engine that deferred an escalated full re-solve
-        // (`DegradeAction::DeferFull`) asks for background maintenance via
-        // `refresh_wanted`. In async mode the solver thread picks that up
-        // itself at its own idle point, so only the synchronous backend
-        // needs to poll here.
-        let deferred_wanted = match &self.backend {
-            Backend::Sync(engine) => engine.refresh_wanted(),
-            Backend::Async { .. } => false,
-        };
-        if !self.full_resolve_scheduled && !deferred_wanted {
+        if self.draining || !self.full_resolve_scheduled {
             return false;
         }
         self.full_resolve_scheduled = false;
-        // A refresh after a degraded apply re-solves the stale shards and
-        // can only tighten the bracket; otherwise the equivalence contract
-        // keeps the committed state unchanged. A failure (not reachable
-        // for well-formed instances) only means the refresh did not happen.
-        match &mut self.backend {
-            Backend::Sync(engine) => {
-                let _ = engine.refresh_full();
-            }
-            Backend::Async { ingest, .. } => {
-                let _ = ingest.refresh_async();
-            }
-        }
+        // The equivalence contract keeps the committed state unchanged. A
+        // failure (not reachable for well-formed instances) only means the
+        // refresh did not happen.
+        let _ = self.ingest.refresh_async();
         true
     }
 
     /// The current `health` body.
     pub fn health(&self) -> HealthSnapshot {
-        let (live_streams, num_streams, num_users) = match &self.backend {
-            Backend::Sync(engine) => (
-                engine.num_live(),
-                engine.current_instance().num_streams(),
-                engine.current_instance().num_users(),
-            ),
-            Backend::Async { ingest, .. } => {
-                let snapshot = ingest.snapshot();
-                (
-                    snapshot.num_live(),
-                    snapshot.current_instance().num_streams(),
-                    snapshot.current_instance().num_users(),
-                )
-            }
-        };
-        let (async_apply, apply_queue_lag, epoch_in_flight) = match &self.backend {
-            Backend::Sync(_) => (false, 0, 0),
-            Backend::Async { ingest, .. } => (
-                true,
-                ingest.queue_lag(),
-                ingest.in_flight_epoch().unwrap_or(0),
-            ),
-        };
+        let snapshot = self.ingest.snapshot();
         HealthSnapshot {
             status: if self.draining { "draining" } else { "ok" }.to_string(),
-            live_streams,
-            num_streams,
-            num_users,
+            live_streams: snapshot.num_live(),
+            num_streams: snapshot.current_instance().num_streams(),
+            num_users: snapshot.current_instance().num_users(),
             pending_updates: self.pending_updates(),
             queue_depth: self.counters.queue_depth.load(Ordering::Relaxed),
             queue_capacity: self.config.queue_capacity,
             full_resolve_scheduled: self.full_resolve_scheduled,
-            async_apply,
-            apply_queue_lag,
-            epoch_in_flight,
+            apply_queue_lag: self.ingest.queue_lag(),
+            epoch_in_flight: self.ingest.in_flight_epoch().unwrap_or(0),
         }
     }
 
     /// The current `metrics` body: engine counters, serving counters, pool
     /// gauges and the committed certificate.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let m = match &self.backend {
-            Backend::Sync(engine) => *engine.metrics(),
-            Backend::Async { ingest, .. } => ingest.metrics(),
-        };
+        let m = self.ingest.metrics();
         let last = self.certificate();
-        let (apply_queue_lag, epoch_submitted, epoch_committed, epoch_in_flight) =
-            match &self.backend {
-                Backend::Sync(_) => (0, 0, 0, 0),
-                Backend::Async { ingest, .. } => (
-                    ingest.queue_lag(),
-                    ingest.submitted_epoch(),
-                    ingest.committed_epoch(),
-                    ingest.in_flight_epoch().unwrap_or(0),
-                ),
-            };
         let pool = mmd_par::Pool::global();
         let c = &self.counters;
         MetricsSnapshot {
@@ -582,10 +456,10 @@ impl Service {
             gap_fraction: last.gap_fraction,
             pool_workers: pool.workers() as u64,
             pool_depth: pool.depth() as u64,
-            apply_queue_lag,
-            epoch_submitted,
-            epoch_committed,
-            epoch_in_flight,
+            apply_queue_lag: self.ingest.queue_lag(),
+            epoch_submitted: self.ingest.submitted_epoch(),
+            epoch_committed: self.ingest.committed_epoch(),
+            epoch_in_flight: self.ingest.in_flight_epoch().unwrap_or(0),
             lane_mode: self.lane_mode.to_string(),
             peak_rss_bytes: peak_rss_bytes(),
             budget_soft_trips: m.budget_soft_trips,
@@ -641,6 +515,7 @@ pub fn resolve_deferred(waiter: &ApplyWaiter, epoch: u64) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmd_core::algo::shard::solve_sharded;
     use mmd_core::ingest::Update;
 
     fn demo_instance() -> Instance {
@@ -810,10 +685,10 @@ mod tests {
         );
         assert!(svc.health().full_resolve_scheduled);
         let utility = svc.certificate().utility;
-        assert!(svc.idle(), "scheduled work ran (async: was submitted)");
+        assert!(svc.idle(), "scheduled work was submitted");
         assert!(!svc.idle(), "and is consumed");
-        // The default backend refreshes asynchronously — poll for the
-        // solver thread to commit the refresh epoch.
+        // The refresh runs asynchronously — poll for the solver thread to
+        // commit the refresh epoch.
         let mut resolves = 0;
         for _ in 0..500 {
             resolves = svc.metrics_snapshot().full_resolves;
@@ -849,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_async_backends_are_response_identical() {
+    fn applies_match_a_direct_engine_and_a_scratch_solve() {
         let sequence = [
             depart(0),
             Request::Apply,
@@ -877,34 +752,44 @@ mod tests {
             Request::QueryStream { stream: 3 },
             Request::Admissions,
         ];
-        let mut sync_svc = Service::new(
-            demo_instance(),
-            ServeConfig {
-                async_apply: false,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let mut async_svc = service();
-        assert!(sync_svc.apply_waiter().is_none());
-        assert!(async_svc.apply_waiter().is_some());
+        let mut svc = service();
+        let mut engine = IngestEngine::new(demo_instance(), svc.config().ingest).unwrap();
+        let mut applies = 0;
         for request in &sequence {
-            let s = sync_svc.handle(request);
-            let a = async_svc.handle(request);
-            assert_eq!(s, a, "backend divergence on {request:?}");
+            let response = svc.handle(request);
+            match request {
+                Request::Update { updates, .. } => {
+                    // The engine accepts exactly the frames the service acked.
+                    let pushed = engine.push_batch(updates.iter().cloned()).is_ok();
+                    assert_eq!(
+                        pushed,
+                        matches!(response, Response::Pushed { .. }),
+                        "{request:?}"
+                    );
+                }
+                Request::Apply => {
+                    applies += 1;
+                    let expected = match engine.apply() {
+                        Ok(outcome) => Response::Applied {
+                            outcome: WireOutcome::from(outcome),
+                        },
+                        Err(e) => {
+                            engine.clear_pending();
+                            error_response(&e)
+                        }
+                    };
+                    assert_eq!(response, expected, "apply #{applies}");
+                }
+                _ => {}
+            }
         }
-        let sm = sync_svc.metrics_snapshot();
-        let am = async_svc.metrics_snapshot();
-        assert_eq!(sm.applies, am.applies);
-        assert_eq!(sm.updates_applied, am.updates_applied);
-        assert_eq!(sm.rejected_batches, am.rejected_batches);
-        assert_eq!(sm.rejected_updates, am.rejected_updates);
-        assert_eq!(sm.utility.to_bits(), am.utility.to_bits());
-        assert_eq!(sm.upper_bound.to_bits(), am.upper_bound.to_bits());
-        let se = sync_svc.into_engine();
-        let ae = async_svc.into_engine();
-        assert_eq!(se.utility().to_bits(), ae.utility().to_bits());
-        assert_eq!(se.assignment(), ae.assignment());
+        assert_eq!(applies, 4);
+        let shard = svc.config().ingest.shard;
+        let served = svc.into_engine();
+        assert_eq!(served.assignment(), engine.assignment());
+        let scratch = solve_sharded(served.current_instance(), &shard).unwrap();
+        assert_eq!(served.utility().to_bits(), scratch.utility.to_bits());
+        assert_eq!(served.assignment(), &scratch.assignment);
     }
 
     #[test]

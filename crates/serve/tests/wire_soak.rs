@@ -187,7 +187,7 @@ fn concurrent_clients_serialize_through_the_engine() {
     assert_eq!(engine.assignment(), &scratch.assignment);
 }
 
-/// The concurrency-stress rung: with the asynchronous backend, the engine
+/// The concurrency-stress rung: with asynchronous applies, the engine
 /// thread keeps acking observability frames while another client's apply
 /// has a re-solve in flight on the solver thread — and the committed state
 /// is still bit-identical to a from-scratch solve afterwards.
@@ -196,7 +196,6 @@ fn async_apply_keeps_acking_frames_while_a_resolve_is_in_flight() {
     let instance = ClusteredConfig::decomposable(8, 10, 4).generate(41);
     let config = ServeConfig::default();
     let (handle, mut client) = spawn_daemon(&instance, config);
-    assert!(client.health().expect("health").async_apply);
 
     // A fat departure batch: plenty of dirty shards to re-solve.
     let updates: Vec<Update> = (0..instance.num_streams() / 2)
