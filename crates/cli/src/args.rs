@@ -6,36 +6,6 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-/// The solve-budget flags shared by `ingest` and `serve`, mapped directly
-/// onto [`SolveBudget`] (see `mmd_core::govern` for the degrade ladder).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct BudgetFlags {
-    /// `--budget-ms`: hard wall limit per apply in milliseconds.
-    pub hard_ms: Option<u64>,
-    /// `--budget-soft-ms`: soft wall limit per apply in milliseconds.
-    pub soft_ms: Option<u64>,
-    /// `--budget-work`: hard work limit per apply (streams×users re-solved).
-    pub hard_work: Option<u64>,
-    /// `--budget-soft-work`: soft work limit per apply.
-    pub soft_work: Option<u64>,
-    /// `--budget-action`: what a hard trip does (`shed`/`widen`/`defer`).
-    pub action: DegradeAction,
-}
-
-impl BudgetFlags {
-    /// The engine-facing budget these flags configure.
-    #[must_use]
-    pub fn to_budget(self) -> SolveBudget {
-        SolveBudget {
-            soft_ms: self.soft_ms,
-            hard_ms: self.hard_ms,
-            soft_work: self.soft_work,
-            hard_work: self.hard_work,
-            hard_action: self.action,
-        }
-    }
-}
-
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
@@ -115,7 +85,7 @@ pub enum Command {
         /// sharded solve.
         verify: bool,
         /// Per-apply solve budget (unlimited unless `--budget-*` given).
-        budget: BudgetFlags,
+        budget: SolveBudget,
     },
     /// `simulate`: run the DES on an instance file.
     Simulate {
@@ -152,7 +122,7 @@ pub enum Command {
         /// Worker threads for shard re-solves (0 = all cores).
         threads: usize,
         /// Per-apply solve budget (unlimited unless `--budget-*` given).
-        budget: BudgetFlags,
+        budget: SolveBudget,
     },
     /// `client`: send NDJSON frames to a running daemon.
     Client {
@@ -286,8 +256,8 @@ fn get_opt_num(map: &BTreeMap<String, String>, key: &str) -> Result<Option<u64>,
     }
 }
 
-fn get_budget(map: &BTreeMap<String, String>) -> Result<BudgetFlags, ArgError> {
-    let action = match map.get("budget-action").map(String::as_str) {
+fn get_budget(map: &BTreeMap<String, String>) -> Result<SolveBudget, ArgError> {
+    let hard_action = match map.get("budget-action").map(String::as_str) {
         None | Some("shed") => DegradeAction::ShedToCache,
         Some("widen") => DegradeAction::WidenGap,
         Some("defer") => DegradeAction::DeferFull,
@@ -297,12 +267,12 @@ fn get_budget(map: &BTreeMap<String, String>) -> Result<BudgetFlags, ArgError> {
             )))
         }
     };
-    Ok(BudgetFlags {
+    Ok(SolveBudget {
         hard_ms: get_opt_num(map, "budget-ms")?,
         soft_ms: get_opt_num(map, "budget-soft-ms")?,
         hard_work: get_opt_num(map, "budget-work")?,
         soft_work: get_opt_num(map, "budget-soft-work")?,
-        action,
+        hard_action,
     })
 }
 
@@ -316,6 +286,9 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
         return Ok(Command::Help);
     };
     let rest = &args[1..];
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "gen" => {
@@ -645,11 +618,8 @@ mod tests {
                 assert_eq!(budget.soft_ms, Some(50));
                 assert_eq!(budget.hard_work, Some(100_000));
                 assert_eq!(budget.soft_work, Some(20_000));
-                assert_eq!(budget.action, DegradeAction::DeferFull);
-                let b = budget.to_budget();
-                assert_eq!(b.hard_ms, Some(200));
-                assert_eq!(b.hard_action, DegradeAction::DeferFull);
-                assert!(!b.is_unlimited());
+                assert_eq!(budget.hard_action, DegradeAction::DeferFull);
+                assert!(!budget.is_unlimited());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -657,14 +627,14 @@ mod tests {
         // engine stays bit-identical to an ungoverned one.
         match parse(&argv("ingest --input x.json")).unwrap() {
             Command::Ingest { budget, .. } => {
-                assert!(budget.to_budget().is_unlimited());
-                assert_eq!(budget.action, DegradeAction::ShedToCache);
+                assert!(budget.is_unlimited());
+                assert_eq!(budget.hard_action, DegradeAction::ShedToCache);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv("ingest --input x.json --budget-action widen")).unwrap() {
             Command::Ingest { budget, .. } => {
-                assert_eq!(budget.action, DegradeAction::WidenGap);
+                assert_eq!(budget.hard_action, DegradeAction::WidenGap);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -675,6 +645,10 @@ mod tests {
     #[test]
     fn empty_is_help() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
+        assert_eq!(
+            parse(&argv("serve --input x --help")).unwrap(),
+            Command::Help
+        );
     }
 
     #[test]

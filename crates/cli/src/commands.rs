@@ -125,7 +125,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 super_shards,
                 threads,
                 verify,
-                budget.to_budget(),
+                budget,
             )
         }
         Command::Serve {
@@ -147,7 +147,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 shard_size,
                 super_shards,
                 threads,
-                budget.to_budget(),
+                budget,
             )
         }
         Command::Client { addr, send } => client(&addr, send.as_deref()),

@@ -1,24 +1,8 @@
-//! `mmd-cli` — generate, inspect, solve and simulate `mmd` instances.
+//! `mmd-cli` — generate, inspect, solve, simulate and serve `mmd` instances.
 
-use mmd_cli::{parse, run};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok(command) => match run(command) {
-            Ok(output) => {
-                print!("{output}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", mmd_cli::args::USAGE);
-            ExitCode::FAILURE
-        }
-    }
+    mmd_cli::main_with(&args)
 }

@@ -1149,7 +1149,8 @@ impl IngestEngine {
     /// ([`DegradeAction::DeferFull`]) that background maintenance should
     /// pick up: serving frontends call
     /// [`refresh_full`](Self::refresh_full) at the next idle moment when
-    /// this is `true` (a successful refresh clears it).
+    /// this is `true` — [`AsyncIngest`](crate::AsyncIngest) does so when
+    /// its epoch queue drains. Any refresh attempt clears it.
     #[must_use]
     pub fn refresh_wanted(&self) -> bool {
         self.deferred_refresh

@@ -2,9 +2,8 @@
 //! thread, fed pre-validated batches as numbered **epochs**.
 //!
 //! The synchronous engine couples callers to re-solve latency: whoever
-//! calls [`IngestEngine::apply`] holds the engine (and, in `mmd-serve`,
-//! the whole request loop) until the dirty shards are re-solved. This
-//! module decouples them:
+//! calls [`IngestEngine::apply`] holds the engine until the dirty shards
+//! are re-solved. This module decouples them:
 //!
 //! * [`AsyncIngest::apply_async`] validates a batch **on the submitting
 //!   thread** against the engine's fixed [`Universe`], assigns it the next
@@ -24,11 +23,16 @@
 //!   ([`AsyncIngest::snapshot`]) get either the previous or the new
 //!   committed state, never a torn intermediate, and never wait on an
 //!   in-flight re-solve.
+//! * Background maintenance has **one path**: whenever the epoch queue
+//!   drains, the solver runs [`IngestEngine::refresh_full`] if a refresh
+//!   was requested ([`AsyncIngest::request_refresh`]) or governance
+//!   deferred one (`DegradeAction::DeferFull`). A refresh takes no epoch
+//!   number; it republishes the snapshot at the current committed epoch.
 //!
-//! Completion is observable per epoch ([`AsyncIngest::wait`], or an
-//! [`ApplyWaiter`] handle from another thread) and in aggregate
-//! ([`AsyncIngest::wait_idle`]). [`AsyncIngest::shutdown`] drains the
-//! queue and returns the engine for post-mortem differential checks.
+//! `AsyncIngest` is `Sync`: any thread may submit, wait on an epoch
+//! ([`AsyncIngest::wait`]) and read snapshots. [`AsyncIngest::shutdown`]
+//! drains the queue and returns the engine for post-mortem differential
+//! checks.
 
 use super::{
     IngestEngine, IngestError, IngestMetrics, IngestOutcome, IngestSnapshot, Universe, Update,
@@ -45,16 +49,9 @@ use std::thread::JoinHandle;
 /// behind gets [`IngestError::OutcomeExpired`] rather than a panic.
 const OUTCOME_WINDOW: u64 = 1024;
 
-/// One queued unit of solver work.
-enum Command {
-    /// Apply this epoch's validated batch.
-    Batch(u64, Vec<Update>),
-    /// Full re-solve of the committed state (cache rebuild).
-    Refresh(u64),
-}
-
 struct QueueState {
-    queue: VecDeque<Command>,
+    /// Validated batches, each with its epoch number.
+    queue: VecDeque<(u64, Vec<Update>)>,
     outcomes: BTreeMap<u64, Result<IngestOutcome, Arc<IngestError>>>,
     shutdown: bool,
 }
@@ -77,6 +74,11 @@ struct Shared {
     /// Updates rejected by submit-side structural validation (the async
     /// counterpart of the engine's push-time `rejected_updates`).
     front_rejected_updates: AtomicU64,
+    /// Full re-solves requested so far (incremented under the queue lock,
+    /// so the solver cannot miss the wake-up).
+    refresh_requested: AtomicU64,
+    /// How many of those requests a finished refresh has covered.
+    refresh_done: AtomicU64,
 }
 
 /// The asynchronous apply frontend (see the [module docs](self)).
@@ -119,6 +121,8 @@ impl AsyncIngest {
             committed: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             front_rejected_updates: AtomicU64::new(0),
+            refresh_requested: AtomicU64::new(0),
+            refresh_done: AtomicU64::new(0),
         });
         let solver = {
             let shared = Arc::clone(&shared);
@@ -132,13 +136,6 @@ impl AsyncIngest {
             universe,
             solver: Some(solver),
         }
-    }
-
-    /// The engine's fixed id [`Universe`] (what submissions validate
-    /// against).
-    #[must_use]
-    pub fn universe(&self) -> Universe {
-        self.universe
     }
 
     /// The latest committed snapshot. Never blocks on an in-flight
@@ -161,7 +158,12 @@ impl AsyncIngest {
     /// through [`wait`](Self::wait) for this epoch.
     pub fn apply_async(&self, updates: Vec<Update>) -> Result<u64, IngestError> {
         self.validate_batch(&updates)?;
-        Ok(self.enqueue(|epoch| Command::Batch(epoch, updates)))
+        let mut state = self.lock_state();
+        let epoch = self.shared.submitted.fetch_add(1, Ordering::AcqRel) + 1;
+        state.queue.push_back((epoch, updates));
+        drop(state);
+        self.shared.work_cv.notify_all();
+        Ok(epoch)
     }
 
     /// Validates a batch structurally without enqueuing anything —
@@ -184,21 +186,27 @@ impl AsyncIngest {
         Ok(())
     }
 
-    /// Enqueues a full re-solve of the committed state as the next epoch
-    /// (the async counterpart of [`IngestEngine::refresh_full`]) and
-    /// returns its epoch number.
-    pub fn refresh_async(&self) -> u64 {
-        self.enqueue(Command::Refresh)
-    }
-
-    /// Assigns the next epoch and enqueues the command built from it.
-    fn enqueue(&self, command: impl FnOnce(u64) -> Command) -> u64 {
-        let mut state = self.shared.state.lock().expect("ingest queue lock");
-        let epoch = self.shared.submitted.fetch_add(1, Ordering::AcqRel) + 1;
-        state.queue.push_back(command(epoch));
+    /// Asks the solver for a full re-solve of the committed state
+    /// ([`IngestEngine::refresh_full`]) the next time its epoch queue
+    /// drains — the same point where a governance-deferred refresh runs.
+    /// Requests made before a refresh starts are all covered by it.
+    pub fn request_refresh(&self) {
+        let state = self.lock_state();
+        self.shared.refresh_requested.fetch_add(1, Ordering::AcqRel);
         drop(state);
         self.shared.work_cv.notify_all();
-        epoch
+    }
+
+    /// Whether a requested refresh has not finished yet (queued behind
+    /// epochs, or running).
+    #[must_use]
+    pub fn refresh_pending(&self) -> bool {
+        let done = self.shared.refresh_done.load(Ordering::Acquire);
+        self.shared.refresh_requested.load(Ordering::Acquire) > done
+    }
+
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.shared.state.lock().expect("ingest queue lock")
     }
 
     /// Blocks until `epoch` has been processed and returns its outcome.
@@ -214,22 +222,29 @@ impl AsyncIngest {
     ///
     /// Panics if `epoch` was never submitted.
     pub fn wait(&self, epoch: u64) -> Result<IngestOutcome, Arc<IngestError>> {
-        wait_on(&self.shared, epoch)
-    }
-
-    /// Blocks until every submitted epoch has been processed.
-    pub fn wait_idle(&self) {
-        let mut state = self.shared.state.lock().expect("ingest queue lock");
-        while self.shared.committed.load(Ordering::Acquire)
-            < self.shared.submitted.load(Ordering::Acquire)
-        {
-            state = self
-                .shared
+        let shared = &*self.shared;
+        assert!(
+            epoch <= shared.submitted.load(Ordering::Acquire),
+            "waiting on epoch {epoch} that was never submitted"
+        );
+        let mut state = self.lock_state();
+        loop {
+            if let Some(outcome) = state.outcomes.get(&epoch) {
+                return outcome.clone();
+            }
+            // Processed, but already pruned from the retention window (the
+            // waiter fell more than `OUTCOME_WINDOW` commits behind). An
+            // error, not a panic: in the daemon this runs on a connection
+            // handler thread, which must answer with an error frame rather
+            // than die.
+            if shared.committed.load(Ordering::Acquire) >= epoch {
+                return Err(Arc::new(IngestError::OutcomeExpired { epoch }));
+            }
+            state = shared
                 .done_cv
                 .wait(state)
                 .expect("ingest done condvar poisoned");
         }
-        drop(state);
     }
 
     /// Epochs submitted but not yet processed — the apply queue lag.
@@ -271,16 +286,6 @@ impl AsyncIngest {
         m
     }
 
-    /// A cloneable handle other threads can use to wait on epochs and read
-    /// snapshots (e.g. a connection handler resolving a deferred apply
-    /// reply while the engine loop keeps serving).
-    #[must_use]
-    pub fn waiter(&self) -> ApplyWaiter {
-        ApplyWaiter {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
     /// Drains every queued epoch, stops the solver thread, and returns the
     /// engine for in-process inspection (differential tests, final
     /// reports).
@@ -295,7 +300,7 @@ impl AsyncIngest {
     }
 
     fn begin_shutdown(&self) {
-        let mut state = self.shared.state.lock().expect("ingest queue lock");
+        let mut state = self.lock_state();
         state.shutdown = true;
         drop(state);
         self.shared.work_cv.notify_all();
@@ -311,88 +316,41 @@ impl Drop for AsyncIngest {
     }
 }
 
-/// A cloneable wait-and-read handle over an [`AsyncIngest`]'s shared
-/// state (see [`AsyncIngest::waiter`]). The handle stays valid for the
-/// lifetime of the queue; waits return as long as the solver is draining.
-#[derive(Clone, Debug)]
-pub struct ApplyWaiter {
-    shared: Arc<Shared>,
-}
-
-impl ApplyWaiter {
-    /// Blocks until `epoch` has been processed and returns its outcome —
-    /// see [`AsyncIngest::wait`].
-    ///
-    /// # Errors
-    ///
-    /// The engine's rejection for that epoch, or
-    /// [`IngestError::OutcomeExpired`] when the outcome already fell out
-    /// of the retention window.
-    pub fn wait(&self, epoch: u64) -> Result<IngestOutcome, Arc<IngestError>> {
-        wait_on(&self.shared, epoch)
-    }
-
-    /// The latest committed snapshot — see [`AsyncIngest::snapshot`].
-    #[must_use]
-    pub fn snapshot(&self) -> Arc<IngestSnapshot> {
-        Arc::clone(&self.shared.snapshot.lock().expect("snapshot lock"))
-    }
-}
-
-/// Blocks until `epoch`'s outcome is recorded, then takes it.
-fn wait_on(shared: &Shared, epoch: u64) -> Result<IngestOutcome, Arc<IngestError>> {
-    assert!(
-        epoch <= shared.submitted.load(Ordering::Acquire),
-        "waiting on epoch {epoch} that was never submitted"
-    );
-    let mut state = shared.state.lock().expect("ingest queue lock");
-    loop {
-        if let Some(outcome) = state.outcomes.get(&epoch) {
-            return outcome.clone();
-        }
-        // Processed, but already pruned from the retention window (the
-        // waiter fell more than `OUTCOME_WINDOW` commits behind). An
-        // error, not a panic: in the daemon this runs on a connection
-        // handler thread, which must answer with an error frame rather
-        // than die.
-        if shared.committed.load(Ordering::Acquire) >= epoch {
-            return Err(Arc::new(IngestError::OutcomeExpired { epoch }));
-        }
-        state = shared
-            .done_cv
-            .wait(state)
-            .expect("ingest done condvar poisoned");
-    }
-}
-
 /// The solver thread: applies epochs strictly in submission order,
-/// publishing a snapshot after each, until shutdown drains the queue.
+/// publishing a snapshot after each, and runs maintenance whenever the
+/// queue drains, until shutdown drains the queue.
 fn solver_loop(mut engine: IngestEngine, shared: &Shared) -> IngestEngine {
     loop {
-        let command = {
+        let (epoch, updates) = {
             let mut state = shared.state.lock().expect("ingest queue lock");
             loop {
-                if let Some(command) = state.queue.pop_front() {
-                    break command;
+                if let Some(batch) = state.queue.pop_front() {
+                    break batch;
                 }
                 if state.shutdown {
                     return engine;
                 }
-                if engine.refresh_wanted() {
-                    // Deferred-full pickup (`DegradeAction::DeferFull`):
-                    // the queue just drained, so the governance-deferred
-                    // catch-up re-solve runs now, off the latency path.
-                    // The queue lock is released first — submitters must
-                    // never block on maintenance — and the refreshed
-                    // snapshot republishes at the current committed epoch:
-                    // same instance, but the stale shards are re-solved
-                    // fresh, so the bracket can only tighten.
+                // The drain point, the one maintenance path: a requested
+                // refresh (`resolve`) and a governance-deferred one
+                // (`DegradeAction::DeferFull`) both run here, off the
+                // latency path. The queue lock is released first —
+                // submitters must never block on maintenance — and the
+                // refreshed snapshot republishes at the current committed
+                // epoch: same instance, every shard re-solved fresh, so
+                // the bracket can only tighten.
+                let requested = shared.refresh_requested.load(Ordering::Acquire);
+                if requested > shared.refresh_done.load(Ordering::Acquire)
+                    || engine.refresh_wanted()
+                {
                     drop(state);
                     let epoch = shared.committed.load(Ordering::Acquire);
                     if engine.refresh_full().is_ok() {
                         *shared.snapshot.lock().expect("snapshot lock") =
                             Arc::new(engine.snapshot(epoch));
                     }
+                    // Cleared only after the publish: whoever sees the
+                    // request done also sees the refreshed snapshot.
+                    shared.refresh_done.store(requested, Ordering::Release);
                     state = shared.state.lock().expect("ingest queue lock");
                     continue;
                 }
@@ -402,25 +360,15 @@ fn solver_loop(mut engine: IngestEngine, shared: &Shared) -> IngestEngine {
                     .expect("ingest work condvar poisoned");
             }
         };
-        let (epoch, result) = match command {
-            Command::Batch(epoch, updates) => {
-                shared.in_flight.store(epoch, Ordering::Release);
-                let result = match engine.push_batch(updates) {
-                    Ok(_) => engine.apply(),
-                    Err(e) => Err(e),
-                };
-                if result.is_err() {
-                    // Mirror the synchronous serving path: a rejected
-                    // batch must not poison later epochs.
-                    engine.clear_pending();
-                }
-                (epoch, result)
-            }
-            Command::Refresh(epoch) => {
-                shared.in_flight.store(epoch, Ordering::Release);
-                (epoch, engine.refresh_full())
-            }
+        shared.in_flight.store(epoch, Ordering::Release);
+        let result = match engine.push_batch(updates) {
+            Ok(_) => engine.apply(),
+            Err(e) => Err(e),
         };
+        if result.is_err() {
+            // A rejected batch must not poison later epochs.
+            engine.clear_pending();
+        }
         // The atomic epoch swap: readers see the previous snapshot or this
         // one, never a torn state. Published on rejection too — the
         // allocation is unchanged but the metrics moved.
@@ -439,6 +387,7 @@ fn solver_loop(mut engine: IngestEngine, shared: &Shared) -> IngestEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::{DegradeAction, SolveBudget};
     use crate::ingest::IngestConfig;
     use crate::instance::Instance;
     use crate::StreamId;
@@ -532,22 +481,33 @@ mod tests {
     }
 
     #[test]
-    fn refresh_async_changes_nothing_and_waiter_handle_works() {
-        let ingest = AsyncIngest::new(
-            IngestEngine::new(small_instance(), IngestConfig::default()).expect("engine"),
-        );
-        let before = ingest.snapshot();
-        let waiter = ingest.waiter();
-        let epoch = ingest.refresh_async();
-        let outcome = waiter.wait(epoch).expect("refresh");
-        assert!(outcome.full_resolve);
-        assert_eq!(
-            waiter.snapshot().utility().to_bits(),
-            before.utility().to_bits()
-        );
-        ingest.wait_idle();
-        assert_eq!(ingest.committed_epoch(), epoch);
-        assert_eq!(ingest.in_flight_epoch(), None);
+    fn requested_and_deferred_refreshes_share_the_drain_point() {
+        let budget = SolveBudget::default()
+            .with_hard_work(0)
+            .with_hard_action(DegradeAction::DeferFull);
+        let config = IngestConfig {
+            budget,
+            ..IngestConfig::default()
+        };
+        let ingest = AsyncIngest::new(IngestEngine::new(small_instance(), config).expect("e"));
+        // Holding the snapshot lock parks the solver at its publish, so a
+        // refresh is both requested and deferred when the queue drains.
+        let publish = ingest.shared.snapshot.lock().expect("snapshot lock");
+        let epoch = ingest
+            .apply_async(vec![Update::StreamDeparture(StreamId::new(0))])
+            .expect("submit");
+        ingest.request_refresh();
+        assert!(ingest.refresh_pending());
+        drop(publish);
+        assert!(ingest.wait(epoch).expect("commits").deferred_full);
+        while ingest.refresh_pending() {
+            std::thread::yield_now();
+        }
+        let m = ingest.metrics();
+        assert_eq!(m.full_resolves, 1, "one refresh served both reasons");
+        assert_eq!(m.deferred_full_resolves, 1);
+        assert_eq!(ingest.snapshot().epoch(), epoch, "a refresh takes no epoch");
+        assert!(!ingest.shutdown().refresh_wanted());
     }
 
     #[test]
@@ -558,10 +518,11 @@ mod tests {
         let first = ingest.apply_async(vec![]).expect("submit");
         // Push the first epoch out of the retention window with empty
         // re-certification epochs.
+        let mut last = first;
         for _ in 0..=OUTCOME_WINDOW {
-            ingest.apply_async(vec![]).expect("submit");
+            last = ingest.apply_async(vec![]).expect("submit");
         }
-        ingest.wait_idle();
+        ingest.wait(last).expect("the last epoch commits");
         let err = ingest.wait(first).expect_err("outcome was pruned");
         assert!(matches!(*err, IngestError::OutcomeExpired { epoch } if epoch == first));
         // Recent epochs still resolve normally.

@@ -1,18 +1,21 @@
 //! `mmd-serve`: a long-lived allocation daemon in front of the incremental
 //! ingest engine.
 //!
-//! The binary wraps an [`IngestEngine`](mmd_core::IngestEngine) in a TCP
+//! The daemon wraps an [`IngestEngine`](mmd_core::IngestEngine) in a TCP
 //! server speaking a newline-delimited JSON protocol: typed update batches,
 //! allocation queries, certified `utility ≤ OPT ≤ upper_bound` bracket
 //! queries, health/metrics endpoints, provisional admission control between
 //! re-solves, and a graceful background full re-solve. The wire format is
 //! specified in `docs/PROTOCOL.md`; the crate layout and dataflow in
-//! `docs/ARCHITECTURE.md`.
+//! `docs/ARCHITECTURE.md`. The `mmd-serve` binary is `mmd-cli serve` under
+//! its own name (crate `mmd-cli`).
 //!
 //! * [`protocol`] — frame types, canonical printing, strict parsing.
-//! * [`service`] — the request handler owning the engine (single-threaded,
-//!   hence deterministic).
-//! * [`server`] — the daemon: accept loop, bounded queue, engine thread.
+//! * [`service`] — the shared request handler owning the engine: one lock
+//!   orders every state change (hence deterministic), reads never take it,
+//!   and backpressure bounds the requests waiting for it.
+//! * [`server`] — the daemon: accept loop and one handler thread per
+//!   connection, each calling the service directly.
 //! * [`client`] — a blocking line-protocol client.
 //!
 //! # Quick start (in-process)

@@ -45,7 +45,7 @@ pub enum ErrorCode {
     /// the pending queue has been discarded.
     Rejected,
     /// The server's bounded request queue is full — backpressure. The
-    /// request was not enqueued; retry after a delay.
+    /// request changed nothing; retry after a delay.
     Overloaded,
     /// The server is shutting down and no longer processes requests.
     Unavailable,
@@ -226,11 +226,12 @@ pub struct HealthSnapshot {
     pub num_users: usize,
     /// Updates enqueued but not yet applied.
     pub pending_updates: usize,
-    /// Requests currently queued for the engine thread.
+    /// Sequenced requests waiting for the service's pending-batch lock or
+    /// holding it.
     pub queue_depth: usize,
     /// Capacity of the bounded request queue.
     pub queue_capacity: usize,
-    /// Whether a background full re-solve is scheduled.
+    /// Whether a requested background full re-solve has not finished yet.
     pub full_resolve_scheduled: bool,
     /// Apply epochs submitted but not yet committed.
     pub apply_queue_lag: u64,
@@ -271,9 +272,11 @@ pub struct MetricsSnapshot {
     pub last_apply_micros: u64,
     /// Wall-clock microseconds summed over all applies.
     pub total_apply_micros: u64,
-    /// Request frames processed by the engine thread.
+    /// Request frames handled by the service (not bounced by
+    /// backpressure).
     pub requests: u64,
-    /// Lines rejected before reaching the engine (parse errors).
+    /// Lines rejected before reaching the service (parse errors, overlong
+    /// lines).
     pub frames_rejected: u64,
     /// Requests bounced by backpressure (queue full).
     pub overloaded: u64,
@@ -283,7 +286,8 @@ pub struct MetricsSnapshot {
     pub admitted: u64,
     /// Pending arrivals provisionally dropped.
     pub admission_rejects: u64,
-    /// Requests currently queued (gauge).
+    /// Sequenced requests waiting for the pending-batch lock or holding
+    /// it (gauge).
     pub queue_depth: usize,
     /// Capacity of the bounded request queue.
     pub queue_capacity: usize,
@@ -580,6 +584,28 @@ pub fn request_to_value(request: &Request) -> Value {
 /// Prints a request as one canonical NDJSON line (no trailing newline).
 pub fn print_request(request: &Request) -> String {
     serde_json::to_string(&request_to_value(request)).expect("request frames are finite")
+}
+
+/// The longest update object [`print_request`] emits, rounded up: an
+/// `interest` update whose ids print as `1.8446744073709552e19` and whose
+/// weight prints as `-2.2250738585072014e-308` is 113 bytes.
+const MAX_UPDATE_BYTES: usize = 128;
+
+/// The `update` frame's envelope, rounded up:
+/// `{"op":"update","updates":[` … `],"admit":true}` is 41 bytes.
+const ENVELOPE_BYTES: usize = 64;
+
+/// The longest request line the daemon reads when `update` frames carry
+/// at most `max_batch` updates: twice the longest canonical frame
+/// (`max_batch` longest updates with separators, plus the envelope), so
+/// non-canonical spacing fits too. A longer line is answered with a
+/// `parse` error frame and its connection is closed.
+#[must_use]
+pub fn max_request_line(max_batch: usize) -> usize {
+    max_batch
+        .saturating_mul(MAX_UPDATE_BYTES + 1)
+        .saturating_add(ENVELOPE_BYTES)
+        .saturating_mul(2)
 }
 
 /// Parses one request line.
@@ -1226,6 +1252,24 @@ mod tests {
             let line = print_request(&request);
             let back = parse_request(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, request, "{line}");
+        }
+    }
+
+    #[test]
+    fn the_line_bound_covers_the_longest_canonical_update_frame() {
+        let longest = Update::InterestChange {
+            user: UserId::new(usize::MAX),
+            stream: StreamId::new(usize::MAX),
+            weight: -f64::MIN_POSITIVE,
+        };
+        let printed = serde_json::to_string(&update_to_value(&longest)).unwrap();
+        assert_eq!(printed.len(), 113, "{printed}");
+        for max_batch in [1, 16, 1024] {
+            let frame = print_request(&Request::Update {
+                updates: vec![longest.clone(); max_batch],
+                admit: true,
+            });
+            assert!(2 * frame.len() <= max_request_line(max_batch));
         }
     }
 

@@ -1,38 +1,44 @@
 //! The request handler: one [`Service`] owns the asynchronous ingest engine
 //! and maps protocol requests to engine operations.
 //!
-//! A `Service` is strictly single-threaded — the daemon runs exactly one,
-//! on a dedicated engine thread, and serializes every request through it
-//! (see [`crate::server`]). That is what makes the daemon deterministic:
-//! requests are decided in queue order against one engine, so the
-//! committed state after any request prefix is a pure function of that
-//! prefix, and the equivalence contract of [`IngestEngine`] (bit-identical
-//! to a from-scratch [`solve_sharded`]) lifts to the whole daemon.
+//! A `Service` is shared: every connection handler of the daemon calls
+//! [`Service::handle`] on its own thread (see [`crate::server`]). Requests
+//! fall into two classes.
 //!
-//! Applies are **asynchronous**: the engine lives on a dedicated solver
-//! thread behind an [`AsyncIngest`], `apply` frames enqueue an epoch and
-//! return a [`Handled::Deferred`] marker the connection handler resolves
-//! via an [`ApplyWaiter`], and queries answer from the latest committed
-//! [`IngestSnapshot`](mmd_core::IngestSnapshot) — so update frames keep
-//! getting acks while a re-solve is in flight. Determinism holds: the
-//! engine thread sequences batch *submission* in request-queue order, and
-//! the solver applies epochs strictly in that order, so every committed
-//! state is bit-identical to an [`IngestEngine`] applying the same batches
-//! directly.
+//! * **Sequenced** requests (`update`, `apply`, `admissions`, `resolve`,
+//!   `shutdown`) run under one lock, the one on the pending batch. Its
+//!   acquisition order is the daemon's single total order of state
+//!   changes: an `apply` takes the batch and submits it as the next epoch
+//!   while holding the lock, and the solver applies epochs strictly in
+//!   submission order. So the committed state after any request prefix is
+//!   a pure function of that prefix, and the equivalence contract of
+//!   [`IngestEngine`] (bit-identical to a from-scratch [`solve_sharded`])
+//!   lifts to the whole daemon. The `apply` then releases the lock and
+//!   waits for its commit on the caller's thread, so other clients' frames
+//!   keep being answered while the re-solve runs.
+//! * **Reads** (`query`, `allocation`, `certificate`, `health`, `metrics`)
+//!   answer from the latest committed
+//!   [`IngestSnapshot`](mmd_core::IngestSnapshot) and never take the lock.
+//!
+//! Backpressure bounds the sequenced requests waiting for the lock or
+//! holding it at [`ServeConfig::queue_capacity`]; one more is answered
+//! `overloaded` and changes nothing. `resolve` only asks the solver for a
+//! refresh, which it runs the next time its epoch queue drains (see
+//! [`AsyncIngest::request_refresh`]).
 //!
 //! [`solve_sharded`]: mmd_core::algo::shard::solve_sharded
 
 use crate::protocol::{
-    Admission, ErrorCode, HealthSnapshot, MetricsSnapshot, Request, Response, WireOutcome,
+    Admission, ErrorCode, FrameError, HealthSnapshot, MetricsSnapshot, Request, Response,
+    WireOutcome,
 };
 use mmd_core::algo::online::{OfferOutcome, OnlineConfig};
 use mmd_core::ingest::Update;
 use mmd_core::{
-    ApplyWaiter, AsyncIngest, IngestConfig, IngestEngine, IngestError, IngestOutcome, Instance,
-    StreamId, UserId,
+    AsyncIngest, IngestConfig, IngestEngine, IngestError, IngestOutcome, Instance, StreamId, UserId,
 };
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Daemon configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,9 +47,9 @@ pub struct ServeConfig {
     pub ingest: IngestConfig,
     /// The §5 online allocator's configuration for provisional admissions.
     pub online: OnlineConfig,
-    /// Capacity of the bounded request queue between connection handlers
-    /// and the engine thread; a full queue bounces requests with an
-    /// `overloaded` error frame (backpressure).
+    /// Bound on the sequenced requests waiting for the pending-batch lock
+    /// or holding it; one more is bounced with an `overloaded` error frame
+    /// (backpressure).
     pub queue_capacity: usize,
     /// Maximum updates accepted in one `update` frame; larger frames are
     /// rejected as `invalid` without being enqueued.
@@ -61,26 +67,37 @@ impl Default for ServeConfig {
     }
 }
 
-/// Serving-layer counters, shared between the connection handlers (which
-/// count rejected frames and backpressure) and the engine thread (which
-/// snapshots them into `metrics` responses). All monotone except
-/// [`queue_depth`](Self::queue_depth), a gauge.
+/// Serving-layer counters, bumped by the connection handlers and read by
+/// `metrics`. All monotone except [`queue_depth`](Self::queue_depth), a
+/// gauge.
 #[derive(Debug, Default)]
-pub struct ServeCounters {
-    /// Request frames processed by the engine thread.
-    pub requests: AtomicU64,
-    /// Lines rejected before reaching the engine (parse errors).
-    pub frames_rejected: AtomicU64,
+struct ServeCounters {
+    /// Request frames handled by the service (not bounced by backpressure).
+    requests: AtomicU64,
+    /// Lines rejected before reaching the service (parse errors, overlong
+    /// lines).
+    frames_rejected: AtomicU64,
     /// Requests bounced by backpressure (queue full).
-    pub overloaded: AtomicU64,
+    overloaded: AtomicU64,
     /// Provisional admission checks run.
-    pub admission_checks: AtomicU64,
+    admission_checks: AtomicU64,
     /// Pending arrivals provisionally admitted.
-    pub admitted: AtomicU64,
+    admitted: AtomicU64,
     /// Pending arrivals provisionally dropped.
-    pub admission_rejects: AtomicU64,
-    /// Requests currently in the bounded queue (gauge).
-    pub queue_depth: AtomicUsize,
+    admission_rejects: AtomicU64,
+    /// Sequenced requests waiting for the pending-batch lock or holding it
+    /// (gauge).
+    queue_depth: AtomicUsize,
+}
+
+/// A held place in the request queue; dropping it (also on unwind) gives
+/// the place back.
+struct QueueSlot<'a>(&'a AtomicUsize);
+
+impl Drop for QueueSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Maps an engine error to its wire error class.
@@ -93,8 +110,8 @@ fn error_code(e: &IngestError) -> ErrorCode {
         | IngestError::InvalidBudget { .. } => ErrorCode::Invalid,
         IngestError::CostExceedsBudget { .. } => ErrorCode::Rejected,
         IngestError::Build(_) | IngestError::Solve(_) => ErrorCode::Internal,
-        // A deferred apply whose outcome aged out of the async retention
-        // window: the epoch was processed, only the record is gone.
+        // An apply whose outcome aged out of the async retention window:
+        // the epoch was processed, only the record is gone.
         IngestError::OutcomeExpired { .. } => ErrorCode::Unavailable,
     }
 }
@@ -103,6 +120,13 @@ fn error_response(e: &IngestError) -> Response {
     Response::Error {
         code: error_code(e),
         message: e.to_string(),
+    }
+}
+
+fn draining_error() -> Response {
+    Response::Error {
+        code: ErrorCode::Unavailable,
+        message: "server is draining".to_string(),
     }
 }
 
@@ -115,30 +139,19 @@ fn admission(offer: &OfferOutcome) -> Admission {
     }
 }
 
-/// The engine thread's verdict on one request (see
-/// [`Service::handle_detached`]).
-#[derive(Debug)]
-pub enum Handled {
-    /// The response is ready now (boxed: the ready arm is much larger
-    /// than the deferred epoch).
-    Now(Box<Response>),
-    /// An asynchronous apply was submitted as this epoch; the caller
-    /// resolves the response off the engine thread via an [`ApplyWaiter`]
-    /// (see [`Service::apply_waiter`]).
-    Deferred(u64),
-}
-
 /// The daemon's request handler (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Service {
     ingest: AsyncIngest,
-    /// Validated updates not yet submitted: they stay on the engine thread
-    /// until an `apply` frame submits them as an epoch.
-    pending: Vec<Update>,
+    /// Validated updates not yet submitted; an `apply` submits them as an
+    /// epoch. This lock is the daemon's one sequencing point.
+    pending: Mutex<Vec<Update>>,
+    /// `pending.len()`, mirrored so `health` never takes the lock.
+    pending_len: AtomicUsize,
     config: ServeConfig,
-    counters: Arc<ServeCounters>,
-    full_resolve_scheduled: bool,
-    draining: bool,
+    counters: ServeCounters,
+    /// Set by `shutdown`, under the pending lock.
+    draining: AtomicBool,
     /// Lane layout of the served instance, fixed at startup (updates never
     /// change the layout); reported by `metrics`.
     lane_mode: &'static str,
@@ -159,18 +172,25 @@ impl Service {
         let engine = IngestEngine::new(instance, config.ingest)?;
         Ok(Service {
             ingest: AsyncIngest::new(engine),
-            pending: Vec::new(),
+            pending: Mutex::new(Vec::new()),
+            pending_len: AtomicUsize::new(0),
             config,
-            counters: Arc::new(ServeCounters::default()),
-            full_resolve_scheduled: false,
-            draining: false,
+            counters: ServeCounters::default(),
+            draining: AtomicBool::new(false),
             lane_mode,
         })
     }
 
-    /// The serving counters, shareable with connection handlers.
-    pub fn counters(&self) -> Arc<ServeCounters> {
-        Arc::clone(&self.counters)
+    /// Answers a line refused before it became a request (a parse error,
+    /// an overlong line), counting it in `frames_rejected`.
+    pub fn reject(&self, e: &FrameError) -> Response {
+        self.counters
+            .frames_rejected
+            .fetch_add(1, Ordering::Relaxed);
+        Response::Error {
+            code: e.code,
+            message: e.message.clone(),
+        }
     }
 
     /// The service configuration.
@@ -186,15 +206,9 @@ impl Service {
         self.ingest.shutdown()
     }
 
-    /// A handle for resolving [`Handled::Deferred`] replies off the engine
-    /// thread.
-    pub fn apply_waiter(&self) -> ApplyWaiter {
-        self.ingest.waiter()
-    }
-
     /// Updates accepted but not yet applied.
     pub fn pending_updates(&self) -> usize {
-        self.pending.len()
+        self.pending_len.load(Ordering::Acquire)
     }
 
     /// The committed certificate (the last applied batch's outcome).
@@ -204,83 +218,123 @@ impl Service {
 
     /// Whether `shutdown` has been requested.
     pub fn draining(&self) -> bool {
-        self.draining
+        self.draining.load(Ordering::Acquire)
     }
 
-    /// Handles one request to completion, blocking on deferred applies.
-    /// Never panics on malformed input — every failure maps to an error
-    /// frame. The daemon's engine loop uses
-    /// [`handle_detached`](Self::handle_detached) instead so it never
-    /// blocks on a re-solve; this wrapper is for in-process callers and
-    /// tests, and is response-identical to the deferred path.
-    pub fn handle(&mut self, request: &Request) -> Response {
-        match self.handle_detached(request) {
-            Handled::Now(response) => *response,
-            Handled::Deferred(epoch) => resolve_deferred(&self.apply_waiter(), epoch),
-        }
-    }
-
-    /// Handles one request without ever blocking on a re-solve: an `apply`
-    /// returns [`Handled::Deferred`] as soon as its epoch is enqueued,
-    /// everything else answers immediately.
-    pub fn handle_detached(&mut self, request: &Request) -> Handled {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        if self.draining && !matches!(request, Request::Health | Request::Metrics) {
-            return Handled::Now(Box::new(Response::Error {
-                code: ErrorCode::Unavailable,
-                message: "server is draining".to_string(),
-            }));
-        }
-        let response = match request {
-            Request::Update { updates, admit } => self.handle_update(updates, *admit),
+    /// Handles one request to completion; an `apply` returns once its
+    /// epoch has committed. Safe to call from many threads at once. Never
+    /// panics on malformed input — every failure maps to an error frame.
+    pub fn handle(&self, request: &Request) -> Response {
+        let answered = match request {
+            Request::Update { updates, admit } => {
+                self.sequenced(|pending| self.push(pending, updates, *admit))
+            }
             // Submit even when empty: an empty epoch re-certifies the
             // committed state, exactly like an engine apply with nothing
-            // pending. Taking the queue means a rejected batch cannot wedge
+            // pending. Taking the batch means a rejected one cannot wedge
             // it: later clients' applies never replay this one's poison.
-            Request::Apply => match self.ingest.apply_async(std::mem::take(&mut self.pending)) {
-                Ok(epoch) => return Handled::Deferred(epoch),
-                // Unreachable in practice: updates were validated at push
-                // time against the same universe.
+            // The commit is awaited after the lock is released, so later
+            // requests are sequenced (and answered) meanwhile. Submission
+            // cannot fail in practice: updates were validated at push time.
+            Request::Apply => self
+                .sequenced(|pending| self.ingest.apply_async(std::mem::take(pending)))
+                .map(|submitted| {
+                    match submitted
+                        .map_err(Arc::new)
+                        .and_then(|epoch| self.ingest.wait(epoch))
+                    {
+                        Ok(outcome) => Response::Applied {
+                            outcome: WireOutcome::from(outcome),
+                        },
+                        Err(e) => error_response(&e),
+                    }
+                }),
+            Request::Admissions => self.sequenced(|pending| match self.provisional(pending) {
+                Ok(admissions) => Response::Admissions { admissions },
                 Err(e) => error_response(&e),
-            },
-            Request::QueryUser { user } => self.handle_query_user(*user),
-            Request::QueryStream { stream } => self.handle_query_stream(*stream),
-            Request::Allocation => {
-                self.with_committed(|instance, assignment, last| Response::Allocation {
-                    utility: last.utility,
-                    users: instance
+            }),
+            Request::Resolve => self.sequenced(|_| {
+                self.ingest.request_refresh();
+                Response::Resolve { scheduled: true }
+            }),
+            Request::Shutdown => self.sequenced(|_| {
+                self.draining.store(true, Ordering::Release);
+                Response::Shutdown
+            }),
+            Request::Health => self.read(true, || Response::Health(self.health())),
+            Request::Metrics => self.read(true, || {
+                Response::Metrics(Box::new(self.metrics_snapshot()))
+            }),
+            Request::QueryUser { user } => self.read(false, || self.handle_query_user(*user)),
+            Request::QueryStream { stream } => {
+                self.read(false, || self.handle_query_stream(*stream))
+            }
+            Request::Allocation => self.read(false, || {
+                let snapshot = self.ingest.snapshot();
+                let assignment = snapshot.assignment();
+                Response::Allocation {
+                    utility: snapshot.last_outcome().utility,
+                    users: snapshot
+                        .current_instance()
                         .users()
                         .map(|u| assignment.streams_of(u).map(|s| s.index()).collect())
                         .collect(),
-                })
-            }
-            Request::Certificate => {
+                }
+            }),
+            Request::Certificate => self.read(false, || {
                 let last = self.certificate();
                 Response::Certificate {
                     utility: last.utility,
                     upper_bound: last.upper_bound,
                     gap_fraction: last.gap_fraction,
                 }
-            }
-            Request::Admissions => match self.provisional() {
-                Ok(admissions) => Response::Admissions { admissions },
-                Err(e) => error_response(&e),
-            },
-            Request::Health => Response::Health(self.health()),
-            Request::Metrics => Response::Metrics(Box::new(self.metrics_snapshot())),
-            Request::Resolve => {
-                self.full_resolve_scheduled = true;
-                Response::Resolve { scheduled: true }
-            }
-            Request::Shutdown => {
-                self.draining = true;
-                Response::Shutdown
-            }
+            }),
         };
-        Handled::Now(Box::new(response))
+        match answered {
+            Ok(response) | Err(response) => response,
+        }
     }
 
-    fn handle_update(&mut self, updates: &[Update], admit: bool) -> Response {
+    /// Runs `f` on the pending batch under the lock — the daemon's one
+    /// sequencing point. A full queue bounces the request before it waits
+    /// (the bounce holds its place only for that instant), and a draining
+    /// service refuses it; neither calls `f`, so nothing changes.
+    fn sequenced<R>(&self, f: impl FnOnce(&mut Vec<Update>) -> R) -> Result<R, Response> {
+        let c = &self.counters;
+        let depth = c.queue_depth.fetch_add(1, Ordering::AcqRel);
+        let _slot = QueueSlot(&c.queue_depth);
+        if depth >= self.config.queue_capacity {
+            c.overloaded.fetch_add(1, Ordering::Relaxed);
+            return Err(Response::Error {
+                code: ErrorCode::Overloaded,
+                message: format!("request queue full (depth {depth}); retry later"),
+            });
+        }
+        c.requests.fetch_add(1, Ordering::Relaxed);
+        // A handler that panicked under the lock must not take the other
+        // connections down with it: recover the batch from the poison. It
+        // is valid at every step, since the only writes are an `extend` by
+        // validated updates and a `take`.
+        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.draining() {
+            return Err(draining_error());
+        }
+        let decided = f(&mut pending);
+        self.pending_len.store(pending.len(), Ordering::Release);
+        Ok(decided)
+    }
+
+    /// Answers a read from the published snapshot, never taking the lock.
+    /// After `shutdown` only the observability reads (`observe`) answer.
+    fn read(&self, observe: bool, answer: impl FnOnce() -> Response) -> Result<Response, Response> {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        if self.draining() && !observe {
+            return Err(draining_error());
+        }
+        Ok(answer())
+    }
+
+    fn push(&self, pending: &mut Vec<Update>, updates: &[Update], admit: bool) -> Response {
         if updates.len() > self.config.max_batch {
             return Response::Error {
                 code: ErrorCode::Invalid,
@@ -292,34 +346,27 @@ impl Service {
             };
         }
         if let Err(e) = self.ingest.validate_batch(updates) {
-            return Response::Error {
-                code: ErrorCode::Invalid,
-                message: e.to_string(),
-            };
+            return error_response(&e);
         }
-        self.pending.extend(updates.iter().cloned());
-        let admissions = if admit {
-            match self.provisional() {
-                Ok(a) => Some(a),
-                Err(e) => return error_response(&e),
-            }
-        } else {
-            None
+        pending.extend(updates.iter().cloned());
+        let admissions = match admit.then(|| self.provisional(pending)).transpose() {
+            Ok(admissions) => admissions,
+            Err(e) => return error_response(&e),
         };
         Response::Pushed {
-            pending: self.pending_updates(),
+            pending: pending.len(),
             admissions,
         }
     }
 
-    fn provisional(&self) -> Result<Vec<Admission>, IngestError> {
+    fn provisional(&self, pending: &[Update]) -> Result<Vec<Admission>, IngestError> {
         self.counters
             .admission_checks
             .fetch_add(1, Ordering::Relaxed);
         let offers = self
             .ingest
             .snapshot()
-            .provisional_admissions(&self.pending, self.config.online)?;
+            .provisional_admissions(pending, self.config.online)?;
         let admissions: Vec<Admission> = offers.iter().map(admission).collect();
         let admitted = admissions.iter().filter(|a| a.admitted).count() as u64;
         self.counters
@@ -331,91 +378,56 @@ impl Service {
         Ok(admissions)
     }
 
-    /// Runs `f` over the committed `(instance, assignment, certificate)`
-    /// of the latest published snapshot (never waiting on an in-flight
-    /// re-solve).
-    fn with_committed<R>(
-        &self,
-        f: impl FnOnce(&Instance, &mmd_core::Assignment, &IngestOutcome) -> R,
-    ) -> R {
-        let snapshot = self.ingest.snapshot();
-        f(
-            snapshot.current_instance(),
-            snapshot.assignment(),
-            snapshot.last_outcome(),
-        )
-    }
-
     fn handle_query_user(&self, user: usize) -> Response {
-        self.with_committed(|instance, assignment, _| {
-            if user >= instance.num_users() {
-                return Response::Error {
-                    code: ErrorCode::Invalid,
-                    message: format!("unknown user {user}"),
-                };
-            }
-            let u = UserId::new(user);
-            Response::UserAllocation {
-                user,
-                streams: assignment.streams_of(u).map(|s| s.index()).collect(),
-                utility: assignment.user_utility(u, instance),
-            }
-        })
+        let snapshot = self.ingest.snapshot();
+        let (instance, assignment) = (snapshot.current_instance(), snapshot.assignment());
+        if user >= instance.num_users() {
+            return Response::Error {
+                code: ErrorCode::Invalid,
+                message: format!("unknown user {user}"),
+            };
+        }
+        let u = UserId::new(user);
+        Response::UserAllocation {
+            user,
+            streams: assignment.streams_of(u).map(|s| s.index()).collect(),
+            utility: assignment.user_utility(u, instance),
+        }
     }
 
     fn handle_query_stream(&self, stream: usize) -> Response {
-        self.with_committed(|instance, assignment, _| {
-            if stream >= instance.num_streams() {
-                return Response::Error {
-                    code: ErrorCode::Invalid,
-                    message: format!("unknown stream {stream}"),
-                };
-            }
-            let s = StreamId::new(stream);
-            Response::StreamAllocation {
-                stream,
-                live: assignment.in_range(s),
-                users: instance
-                    .users()
-                    .filter(|&u| assignment.contains(u, s))
-                    .map(|u| u.index())
-                    .collect(),
-            }
-        })
-    }
-
-    /// Runs deferred maintenance — the scheduled background full re-solve —
-    /// and returns whether any work was done. The engine thread calls this
-    /// only when the request queue is empty, so maintenance never delays a
-    /// live request (graceful scheduling). The refresh is merely
-    /// *submitted* here (the solver thread does the work). A governed
-    /// engine that deferred an escalated full re-solve
-    /// (`DegradeAction::DeferFull`) needs no poll here: the solver thread
-    /// picks that up itself at its own idle point.
-    pub fn idle(&mut self) -> bool {
-        if self.draining || !self.full_resolve_scheduled {
-            return false;
+        let snapshot = self.ingest.snapshot();
+        let (instance, assignment) = (snapshot.current_instance(), snapshot.assignment());
+        if stream >= instance.num_streams() {
+            return Response::Error {
+                code: ErrorCode::Invalid,
+                message: format!("unknown stream {stream}"),
+            };
         }
-        self.full_resolve_scheduled = false;
-        // The equivalence contract keeps the committed state unchanged. A
-        // failure (not reachable for well-formed instances) only means the
-        // refresh did not happen.
-        let _ = self.ingest.refresh_async();
-        true
+        let s = StreamId::new(stream);
+        Response::StreamAllocation {
+            stream,
+            live: assignment.in_range(s),
+            users: instance
+                .users()
+                .filter(|&u| assignment.contains(u, s))
+                .map(|u| u.index())
+                .collect(),
+        }
     }
 
     /// The current `health` body.
     pub fn health(&self) -> HealthSnapshot {
         let snapshot = self.ingest.snapshot();
         HealthSnapshot {
-            status: if self.draining { "draining" } else { "ok" }.to_string(),
+            status: if self.draining() { "draining" } else { "ok" }.to_string(),
             live_streams: snapshot.num_live(),
             num_streams: snapshot.current_instance().num_streams(),
             num_users: snapshot.current_instance().num_users(),
             pending_updates: self.pending_updates(),
             queue_depth: self.counters.queue_depth.load(Ordering::Relaxed),
             queue_capacity: self.config.queue_capacity,
-            full_resolve_scheduled: self.full_resolve_scheduled,
+            full_resolve_scheduled: self.ingest.refresh_pending(),
             apply_queue_lag: self.ingest.queue_lag(),
             epoch_in_flight: self.ingest.in_flight_epoch().unwrap_or(0),
         }
@@ -500,18 +512,6 @@ pub fn peak_rss_bytes() -> u64 {
     }
 }
 
-/// Resolves a [`Handled::Deferred`] apply into its response frame by
-/// waiting on the epoch — run off the engine thread by connection
-/// handlers (and by the blocking [`Service::handle`] wrapper).
-pub fn resolve_deferred(waiter: &ApplyWaiter, epoch: u64) -> Response {
-    match waiter.wait(epoch) {
-        Ok(outcome) => Response::Applied {
-            outcome: WireOutcome::from(outcome),
-        },
-        Err(e) => error_response(&e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,6 +533,14 @@ mod tests {
         Service::new(demo_instance(), ServeConfig::default()).unwrap()
     }
 
+    /// The error class of an error frame.
+    fn code(response: &Response) -> Option<ErrorCode> {
+        match response {
+            Response::Error { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
+
     fn depart(stream: usize) -> Request {
         Request::Update {
             updates: vec![Update::StreamDeparture(StreamId::new(stream))],
@@ -542,7 +550,7 @@ mod tests {
 
     #[test]
     fn update_apply_query_round() {
-        let mut svc = service();
+        let svc = service();
         let pushed = svc.handle(&depart(0));
         assert_eq!(
             pushed,
@@ -571,37 +579,25 @@ mod tests {
 
     #[test]
     fn invalid_updates_and_queries_are_error_frames() {
-        let mut svc = service();
+        let svc = service();
         let r = svc.handle(&Request::Update {
             updates: vec![Update::StreamArrival(StreamId::new(99))],
             admit: false,
         });
-        assert!(matches!(
-            r,
-            Response::Error {
-                code: ErrorCode::Invalid,
-                ..
-            }
-        ));
-        assert!(matches!(
-            svc.handle(&Request::QueryUser { user: 42 }),
-            Response::Error {
-                code: ErrorCode::Invalid,
-                ..
-            }
-        ));
-        assert!(matches!(
-            svc.handle(&Request::QueryStream { stream: 42 }),
-            Response::Error {
-                code: ErrorCode::Invalid,
-                ..
-            }
-        ));
+        assert_eq!(code(&r), Some(ErrorCode::Invalid));
+        assert_eq!(
+            code(&svc.handle(&Request::QueryUser { user: 42 })),
+            Some(ErrorCode::Invalid)
+        );
+        assert_eq!(
+            code(&svc.handle(&Request::QueryStream { stream: 42 })),
+            Some(ErrorCode::Invalid)
+        );
     }
 
     #[test]
     fn oversized_update_frame_is_rejected_without_enqueue() {
-        let mut svc = Service::new(
+        let svc = Service::new(
             demo_instance(),
             ServeConfig {
                 max_batch: 2,
@@ -617,19 +613,13 @@ mod tests {
             ],
             admit: false,
         });
-        assert!(matches!(
-            r,
-            Response::Error {
-                code: ErrorCode::Invalid,
-                ..
-            }
-        ));
+        assert_eq!(code(&r), Some(ErrorCode::Invalid));
         assert_eq!(svc.pending_updates(), 0);
     }
 
     #[test]
     fn rejected_apply_clears_the_poisoned_queue() {
-        let mut svc = service();
+        let svc = service();
         // Budget below live costs: stateful rejection at apply time.
         svc.handle(&Request::Update {
             updates: vec![Update::BudgetChange {
@@ -639,13 +629,7 @@ mod tests {
             admit: false,
         });
         let r = svc.handle(&Request::Apply);
-        assert!(matches!(
-            r,
-            Response::Error {
-                code: ErrorCode::Rejected,
-                ..
-            }
-        ));
+        assert_eq!(code(&r), Some(ErrorCode::Rejected));
         // The queue was cleared: the next client's apply is a clean no-op,
         // not a replay of this client's poison.
         assert!(matches!(
@@ -656,7 +640,7 @@ mod tests {
 
     #[test]
     fn admissions_cover_pending_arrivals() {
-        let mut svc = service();
+        let svc = service();
         svc.handle(&depart(0));
         svc.handle(&Request::Apply);
         let r = svc.handle(&Request::Update {
@@ -676,43 +660,84 @@ mod tests {
     }
 
     #[test]
-    fn resolve_schedules_and_idle_runs_it() {
-        let mut svc = service();
-        assert!(!svc.idle(), "nothing scheduled");
+    fn resolve_stays_scheduled_until_the_refresh_has_run() {
+        let svc = service();
+        let before = svc.certificate();
+        assert!(!svc.health().full_resolve_scheduled);
         assert_eq!(
             svc.handle(&Request::Resolve),
             Response::Resolve { scheduled: true }
         );
-        assert!(svc.health().full_resolve_scheduled);
-        let utility = svc.certificate().utility;
-        assert!(svc.idle(), "scheduled work was submitted");
-        assert!(!svc.idle(), "and is consumed");
-        // The refresh runs asynchronously — poll for the solver thread to
-        // commit the refresh epoch.
-        let mut resolves = 0;
-        for _ in 0..500 {
-            resolves = svc.metrics_snapshot().full_resolves;
-            if resolves == 1 {
+        // `scheduled` is read before `full_resolves`: the solver clears
+        // the request only after publishing the refresh, so the flag is
+        // `true` for as long as the count still reads 0.
+        for _ in 0..10_000 {
+            let scheduled = svc.health().full_resolve_scheduled;
+            let resolves = svc.metrics_snapshot().full_resolves;
+            assert!(scheduled || resolves == 1, "cleared before it ran");
+            if !scheduled {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert_eq!(resolves, 1);
-        assert_eq!(svc.certificate().utility.to_bits(), utility.to_bits());
+        assert!(!svc.health().full_resolve_scheduled);
+        let after = svc.certificate();
+        assert_eq!(after.utility.to_bits(), before.utility.to_bits());
+        assert_eq!(after.upper_bound.to_bits(), before.upper_bound.to_bits());
+        assert_eq!(after.gap_fraction.to_bits(), before.gap_fraction.to_bits());
+    }
+
+    #[test]
+    fn a_full_queue_bounces_requests_without_changing_state() {
+        let config = ServeConfig {
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        };
+        let svc = Service::new(demo_instance(), config).unwrap();
+        std::thread::scope(|scope| {
+            // Holding the lock parks the next sequenced request in the queue.
+            let held = svc.pending.lock().unwrap();
+            let waiting = scope.spawn(|| svc.handle(&depart(0)));
+            while svc.health().queue_depth == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(svc.health().queue_depth, 1);
+            let bounced = svc.handle(&depart(1));
+            assert_eq!(code(&bounced), Some(ErrorCode::Overloaded));
+            assert_eq!(svc.metrics_snapshot().overloaded, 1);
+            assert_eq!(svc.pending_updates(), 0);
+            drop(held);
+            let pushed = waiting.join().unwrap();
+            assert!(matches!(pushed, Response::Pushed { pending: 1, .. }));
+        });
+        assert_eq!(svc.health().queue_depth, 0);
+        assert_eq!(svc.pending_updates(), 1);
+        // A handler that panics under the lock poisons it; the others
+        // keep being served.
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = svc.pending.lock();
+                    panic!("handler died under the lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err() && svc.pending.is_poisoned());
+        assert!(matches!(
+            svc.handle(&depart(1)),
+            Response::Pushed { pending: 2, .. }
+        ));
     }
 
     #[test]
     fn draining_rejects_everything_but_observability() {
-        let mut svc = service();
+        let svc = service();
         assert_eq!(svc.handle(&Request::Shutdown), Response::Shutdown);
         assert!(svc.draining());
-        assert!(matches!(
-            svc.handle(&Request::Apply),
-            Response::Error {
-                code: ErrorCode::Unavailable,
-                ..
-            }
-        ));
+        assert_eq!(
+            code(&svc.handle(&Request::Apply)),
+            Some(ErrorCode::Unavailable)
+        );
         let Response::Health(health) = svc.handle(&Request::Health) else {
             panic!("health must answer while draining");
         };
@@ -752,7 +777,7 @@ mod tests {
             Request::QueryStream { stream: 3 },
             Request::Admissions,
         ];
-        let mut svc = service();
+        let svc = service();
         let mut engine = IngestEngine::new(demo_instance(), svc.config().ingest).unwrap();
         let mut applies = 0;
         for request in &sequence {
@@ -794,7 +819,7 @@ mod tests {
 
     #[test]
     fn health_and_metrics_reflect_state() {
-        let mut svc = service();
+        let svc = service();
         let h = svc.health();
         assert_eq!(h.status, "ok");
         assert_eq!(h.live_streams, 6);

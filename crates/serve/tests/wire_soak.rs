@@ -11,10 +11,13 @@
 use mmd_core::algo::shard::solve_sharded;
 use mmd_core::ingest::{IngestEngine, Update};
 use mmd_serve::client::{ClientError, WireClient};
+use mmd_serve::protocol::{max_request_line, print_request};
 use mmd_serve::server::{self, ServerHandle};
 use mmd_serve::service::{ServeConfig, Service};
+use mmd_serve::Request;
 use mmd_sim::drive_churn;
 use mmd_workload::{ChurnConfig, ClusteredConfig};
+use std::io::{Read, Write};
 
 fn spawn_daemon(instance: &mmd_core::Instance, config: ServeConfig) -> (ServerHandle, WireClient) {
     let service = Service::new(instance.clone(), config).expect("initial solve");
@@ -144,15 +147,68 @@ fn malformed_lines_get_error_frames_and_do_not_kill_the_connection() {
     handle.join();
 }
 
+/// The line cap: the largest canonical `update` frame, padded to exactly
+/// `max_request_line` bytes, is read and answered; one byte more gets a
+/// `parse` error frame and EOF, and fresh connections are still served.
+#[test]
+fn overlong_lines_are_refused_and_close_only_their_connection() {
+    let instance = ClusteredConfig::decomposable(2, 3, 2).generate(3);
+    let config = ServeConfig {
+        max_batch: 8,
+        ..ServeConfig::default()
+    };
+    let (handle, mut client) = spawn_daemon(&instance, config);
+    let limit = max_request_line(config.max_batch);
+    let longest = Update::InterestChange {
+        user: mmd_core::UserId::new(usize::MAX),
+        stream: mmd_core::StreamId::new(usize::MAX),
+        weight: -f64::MIN_POSITIVE,
+    };
+    let frame = print_request(&Request::Update {
+        updates: vec![longest; config.max_batch],
+        admit: true,
+    });
+    // Read and parsed in full: the ids are unknown, so it is `invalid`.
+    let line = client
+        .raw_line(&format!("{frame:<limit$}"))
+        .expect("answer");
+    assert!(
+        line.starts_with(r#"{"ok":false,"code":"invalid""#),
+        "{line}"
+    );
+    assert_eq!(client.health().expect("same connection").status, "ok");
+
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let over = format!("{frame:<width$}\n", width = limit + 1);
+    raw.write_all(over.as_bytes()).expect("send");
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply)
+        .expect("error frame, then EOF");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"code":"parse""#),
+        "{reply}"
+    );
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+
+    let mut fresh = WireClient::connect(handle.addr()).expect("connect");
+    assert_eq!(fresh.health().expect("health").status, "ok");
+    assert_eq!(fresh.metrics().expect("metrics").frames_rejected, 1);
+    drop(client);
+    fresh.shutdown().expect("shutdown");
+    drop(fresh);
+    handle.join();
+}
+
 #[test]
 fn concurrent_clients_serialize_through_the_engine() {
     let instance = ClusteredConfig::decomposable(3, 4, 3).generate(9);
     let (handle, mut client) = spawn_daemon(&instance, ServeConfig::default());
 
-    // Several clients push-and-apply concurrently; the engine serializes
-    // the requests, so every response is a valid committed state and the
-    // final state is reachable by SOME interleaving — which, with each
-    // client touching a disjoint stream, is the same final instance.
+    // Several clients push-and-apply concurrently; the service's lock
+    // serializes the state changes, so every response is a valid
+    // committed state and the final state is reachable by SOME
+    // interleaving — which, with each client touching a disjoint stream,
+    // is the same final instance.
     let addr = handle.addr();
     let workers: Vec<_> = (0..3)
         .map(|w| {
@@ -187,9 +243,9 @@ fn concurrent_clients_serialize_through_the_engine() {
     assert_eq!(engine.assignment(), &scratch.assignment);
 }
 
-/// The concurrency-stress rung: with asynchronous applies, the engine
-/// thread keeps acking observability frames while another client's apply
-/// has a re-solve in flight on the solver thread — and the committed state
+/// The concurrency-stress rung: with asynchronous applies, the daemon
+/// keeps acking observability frames while another client's apply has a
+/// re-solve in flight on the solver thread — and the committed state
 /// is still bit-identical to a from-scratch solve afterwards.
 #[test]
 fn async_apply_keeps_acking_frames_while_a_resolve_is_in_flight() {
@@ -209,8 +265,8 @@ fn async_apply_keeps_acking_frames_while_a_resolve_is_in_flight() {
     });
 
     // While that apply is outstanding, this connection's frames keep
-    // getting answered: the engine thread deferred the apply instead of
-    // blocking on it. (Whether we catch `epoch_in_flight != 0` is a timing
+    // getting answered: the apply waits for its commit on its own handler
+    // thread, outside the lock. (Whether we catch `epoch_in_flight != 0` is a timing
     // accident; the guarantee under test is that these calls return.)
     let mut acked_while_busy = 0u32;
     loop {
@@ -274,8 +330,8 @@ fn scheduled_resolve_runs_in_the_background_and_changes_nothing() {
     let (handle, mut client) = spawn_daemon(&instance, ServeConfig::default());
     let (utility_before, upper_before, _) = client.certificate().expect("certificate");
     assert!(client.resolve().expect("resolve"));
-    // The full re-solve happens between requests; poll metrics until it
-    // lands (bounded — the engine thread is idle apart from our requests).
+    // The full re-solve runs when the solver's epoch queue drains; poll
+    // metrics until it lands (bounded — the solver is otherwise idle).
     let mut resolves = 0;
     for _ in 0..200 {
         resolves = client.metrics().expect("metrics").full_resolves;

@@ -304,7 +304,6 @@ fn soak_web100k_two_level_async_churn() {
     // The asynchronous twin: the same trace through `apply_async`,
     // submitted in waves so the solver thread works behind a real queue.
     let async_ingest = AsyncIngest::new(IngestEngine::new(inst, cfg).unwrap());
-    let waiter = async_ingest.waiter();
     let mut async_outcomes = Vec::new();
     let chunks: Vec<&[mmd::core::Update]> = trace.chunks(batch).collect();
     for wave in chunks.chunks(8) {
@@ -313,7 +312,7 @@ fn soak_web100k_two_level_async_churn() {
             .map(|chunk| async_ingest.apply_async(chunk.to_vec()).unwrap())
             .collect();
         for epoch in epochs {
-            async_outcomes.push(waiter.wait(epoch).unwrap());
+            async_outcomes.push(async_ingest.wait(epoch).unwrap());
         }
     }
     let async_engine = async_ingest.shutdown();

@@ -178,7 +178,6 @@ fn replay_async(
 ) -> (Vec<IngestOutcome>, IngestEngine) {
     let engine = IngestEngine::new(inst.clone(), cfg).unwrap();
     let ingest = AsyncIngest::new(engine);
-    let waiter = ingest.waiter();
     let mut outcomes = Vec::new();
     let chunks: Vec<&[mmd::core::Update]> = trace.chunks(batch).collect();
     for chunk_wave in chunks.chunks(wave.max(1)) {
@@ -187,7 +186,7 @@ fn replay_async(
             .map(|chunk| ingest.apply_async(chunk.to_vec()).unwrap())
             .collect();
         for epoch in epochs {
-            outcomes.push(waiter.wait(epoch).unwrap());
+            outcomes.push(ingest.wait(epoch).unwrap());
         }
     }
     (outcomes, ingest.shutdown())
