@@ -692,7 +692,7 @@ pub fn run_ingest_rung(rung: &IngestRung, threads: usize) -> Vec<Cell> {
     let instance = if rung.web_users > 0 {
         // Amply provisioned budget: demand-capped water-fill shares are
         // stable under pure utility drift, which is what lets the
-        // (super, inner) cache serve untouched inner shards. The solve
+        // leaf memo serve untouched inner shards. The solve
         // web rungs keep the contended 0.3 default; this rung measures
         // churn, not capacity pressure.
         WebConfig {
@@ -741,12 +741,11 @@ pub fn run_ingest_rung(rung: &IngestRung, threads: usize) -> Vec<Cell> {
     };
     let incremental_cfg = if rung.web_users > 0 {
         // At web scale the escalation heuristics are the wrong signal:
-        // with a handful of coarse super-shards any batch dirties every
-        // one of them, and the coarse cut fraction is a static property
-        // of the connected Zipf graph (~0.35), not a churn symptom.
-        // Escalation is a pure work heuristic (the outcome is
-        // bit-identical either way), so the web configuration opens the
-        // gates and relies on (super, inner) reuse instead.
+        // the coarse cut fraction is a static property of the connected
+        // Zipf graph (~0.35), not a churn symptom. Escalation is a pure
+        // work heuristic (the outcome is bit-identical either way), so
+        // the web configuration opens the gates and relies on leaf-memo
+        // reuse instead.
         IngestConfig {
             shard,
             max_dirty_fraction: 1.0,

@@ -76,8 +76,8 @@ pub enum Command {
         /// Target shard size in streams (0 = component granularity).
         shard_size: usize,
         /// Super-shards for the two-level incremental engine (0 or 1 = the
-        /// flat, depth-1 partition tree; with K ≥ 2 updates route to
-        /// (super, inner) pairs).
+        /// flat, depth-1 partition tree; with K ≥ 2 the leaves are inner
+        /// shards of K-way super-shards).
         super_shards: usize,
         /// Worker threads (0 = all cores, 1 = sequential).
         threads: usize,
@@ -188,9 +188,8 @@ USAGE:
   drift, budget changes) and applies it in batches through the incremental
   ingest engine, which re-solves only the dirty shards; every batch
   refreshes the certified utility <= OPT <= upper-bound bracket. With
-  --super-shards K the engine runs the hierarchical two-level partition:
-  updates route to (super, inner) shard pairs and cached solutions are
-  reused at both levels.
+  --super-shards K the engine runs the hierarchical two-level partition,
+  and memoized inner-shard solutions are reused.
   --verify additionally checks the final state against a from-scratch
   sharded solve of the updated instance (bit-identical by contract).
   --budget-ms / --budget-work cap one apply's wall time / work

@@ -49,7 +49,7 @@
 //! children are the leaves: the flat solve described above. With
 //! `super_shards ≥ 2` the root is a *coarse* partition at cap
 //! `⌈|S| / super_shards⌉` ([`super_partition`], head-split while its
-//! [`Sharding::skew_ratio`] exceeds [`ShardConfig::head_split_skew`], so a
+//! [`Sharding::skew_ratio`] exceeds [`HEAD_SPLIT_SKEW`], so a
 //! Zipf catalog head cannot pin one super-shard as the critical path), and
 //! every child is a super-shard carrying a depth-1 tree of its own: an
 //! *inner* partition at `max_streams` granularity with its own water-fill
@@ -66,10 +66,12 @@ use crate::algo::batch::solve_batch;
 use crate::algo::reduction::{residual_fill, MmdConfig};
 use crate::assignment::Assignment;
 use crate::error::SolveError;
+use crate::govern::{DegradeAction, SolveBudget};
 use crate::graph::{collect_components, UnionFind};
 use crate::ids::{StreamId, UserId};
 use crate::instance::Instance;
 use crate::num;
+use std::time::Instant;
 
 /// Configuration for [`solve_sharded`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -87,10 +89,6 @@ pub struct ShardConfig {
     /// own `threads` knobs default to 1 so shard-level parallelism is not
     /// multiplied by intra-solve parallelism.
     pub mmd: MmdConfig,
-    /// Run a global [`residual_fill`] over the *original* instance after
-    /// reconciliation: recovers cut interests and leftover budget. On by
-    /// default; disable to measure the raw shard/reconcile loss.
-    pub global_fill: bool,
     /// Resource-augmentation factor on contended budget shares: each shard
     /// receives `(1 + budget_slack) ×` its water-filled share (still capped
     /// at its demand), deliberately oversubscribing the budget so that the
@@ -114,15 +112,15 @@ pub struct ShardConfig {
     /// certificate stays valid by the same Lemma 2.1 subadditivity, taken
     /// at the super-shard level (see [`solve_sharded`]).
     pub super_shards: usize,
-    /// Skew threshold for head-splitting the coarse partition (two-level
-    /// mode only): while the super level's stream-weighted skew ratio
-    /// ([`Sharding::skew_ratio`]: largest / mean streams per shard)
-    /// exceeds this, the largest super-shard is re-cut at half its stream
-    /// count (floored at `max_streams`). Without it a Zipf(θ≈1) catalog
-    /// head leaves one super-shard holding most of the work. `≤ 0`
-    /// disables splitting. Deterministic and thread-count invariant.
-    pub head_split_skew: f64,
 }
+
+/// Skew threshold for head-splitting the coarse partition (two-level mode
+/// only): while the super level's stream-weighted skew ratio
+/// ([`Sharding::skew_ratio`]: largest / mean streams per shard) exceeds
+/// this, the largest super-shard is re-cut at half its stream count
+/// (floored at `max_streams`). Without it a Zipf(θ≈1) catalog head leaves
+/// one super-shard holding most of the work.
+pub const HEAD_SPLIT_SKEW: f64 = 2.0;
 
 impl Default for ShardConfig {
     fn default() -> Self {
@@ -130,10 +128,8 @@ impl Default for ShardConfig {
             max_streams: 0,
             threads: 1,
             mmd: MmdConfig::default(),
-            global_fill: true,
             budget_slack: 0.2,
             super_shards: 0,
-            head_split_skew: 2.0,
         }
     }
 }
@@ -215,7 +211,7 @@ impl Sharding {
     /// per shard. `1.0` means perfectly balanced; a Zipf catalog head
     /// typically pushes the coarse partition well above it. `0.0` when the
     /// partition has no shards or no streams. This is the observable that
-    /// triggers head-splitting ([`ShardConfig::head_split_skew`]).
+    /// triggers head-splitting ([`HEAD_SPLIT_SKEW`]).
     #[must_use]
     pub fn skew_ratio(&self) -> f64 {
         let total: usize = self.shards.iter().map(|s| s.streams.len()).sum();
@@ -224,6 +220,18 @@ impl Sharding {
         }
         let mean = total as f64 / self.shards.len() as f64;
         self.largest_shard_streams() as f64 / mean
+    }
+
+    /// Points the membership maps at the current shard list.
+    fn index_members(&mut self) {
+        for (k, shard) in self.shards.iter().enumerate() {
+            for &s in &shard.streams {
+                self.shard_of_stream[s.index()] = k;
+            }
+            for &u in &shard.users {
+                self.shard_of_user[u.index()] = k;
+            }
+        }
     }
 }
 
@@ -325,26 +333,17 @@ pub fn shard_instance(instance: &Instance, max_streams: usize) -> Sharding {
         });
     }
 
-    let mut shard_of_stream = vec![usize::MAX; ns];
-    let mut shard_of_user = vec![usize::MAX; nu];
-    for (k, shard) in shards.iter().enumerate() {
-        for &s in &shard.streams {
-            shard_of_stream[s.index()] = k;
-        }
-        for &u in &shard.users {
-            shard_of_user[u.index()] = k;
-        }
-    }
-    debug_assert!(shard_of_stream.iter().all(|&k| k != usize::MAX));
-    debug_assert!(shard_of_user.iter().all(|&k| k != usize::MAX));
-
-    Sharding {
+    let mut sharding = Sharding {
         shards,
         cut,
         cut_mass,
-        shard_of_stream,
-        shard_of_user,
-    }
+        shard_of_stream: vec![usize::MAX; ns],
+        shard_of_user: vec![usize::MAX; nu],
+    };
+    sharding.index_members();
+    debug_assert!(sharding.shard_of_stream.iter().all(|&k| k != usize::MAX));
+    debug_assert!(sharding.shard_of_user.iter().all(|&k| k != usize::MAX));
+    sharding
 }
 
 /// Water-fills each finite server budget across the shards.
@@ -515,9 +514,7 @@ pub fn build_shard_instance(
 /// `local_of` maps a global stream id to its dense local index within the
 /// shard, or `None` for streams outside it. The partition tree passes a
 /// lookup backed by [`Sharding`]'s precomputed maps so that building every
-/// shard costs O(shard), not O(instance) each; the ingest engine builds its
-/// dirty shards through the same tree (bit-for-bit equivalence with a
-/// from-scratch [`solve_sharded`] depends on it).
+/// shard costs O(shard), not O(instance) each.
 fn build_shard_instance_with(
     instance: &Instance,
     shard: &Shard,
@@ -650,9 +647,8 @@ fn utility_upper_bound_with(
 
 /// The per-shard upper bound of [`utility_upper_bound`], computed through a
 /// [`Sharding`]'s precomputed membership maps so that bounding one shard
-/// costs O(shard), not O(instance). This is the bound [`solve_sharded`]
-/// derives internally for every shard; the ingest engine calls it per
-/// *dirty* shard to refresh its cached certificate terms incrementally.
+/// costs O(shard), not O(instance). This is the bound the partition tree
+/// derives for every child of its root ([`HierarchicalSharding::new`]).
 ///
 /// # Panics
 ///
@@ -672,10 +668,9 @@ pub fn shard_utility_bound(instance: &Instance, sharding: &Sharding, k: usize) -
 /// The coarse (super) level of the two-level partition: the catalog
 /// partitioned at cap `⌈|S| / super_shards⌉` (never coarser than
 /// `max_streams`), then head-split while the stream-weighted skew ratio
-/// exceeds [`ShardConfig::head_split_skew`]. Deterministic and
-/// thread-count invariant; the ingest engine and [`solve_sharded`] both
-/// partition through this function, which their bit-for-bit equivalence
-/// depends on.
+/// exceeds [`HEAD_SPLIT_SKEW`]. Deterministic and thread-count invariant;
+/// the ingest engine and [`solve_sharded`] both partition through this
+/// function, which their bit-for-bit equivalence depends on.
 #[must_use]
 pub fn super_partition(instance: &Instance, config: &ShardConfig) -> Sharding {
     let super_cap = instance
@@ -683,23 +678,24 @@ pub fn super_partition(instance: &Instance, config: &ShardConfig) -> Sharding {
         .div_ceil(config.super_shards.max(1))
         .max(config.max_streams.max(1));
     let mut supering = shard_instance(instance, super_cap);
-    split_head_shards(instance, &mut supering, config);
+    split_head_shards(instance, &mut supering, config.max_streams, HEAD_SPLIT_SKEW);
     supering
 }
 
-/// Head-splitting: while the partition's skew ratio exceeds the threshold,
+/// Head-splitting: while the partition's skew ratio exceeds `threshold`,
 /// re-cut the largest shard (ties to the smallest index) at half its
-/// stream count, floored at the inner cap. Each round builds the head's
-/// sub-instance and re-runs the same Kruskal splitter on it, so the split
-/// cuts the head's lowest-utility interests first, exactly like the coarse
-/// partition itself; newly cut interests fold into the partition's cut
-/// list and `cut_mass` (they stay certificate-accounted).
-fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &ShardConfig) {
-    let threshold = config.head_split_skew;
-    if threshold <= 0.0 || !threshold.is_finite() {
-        return;
-    }
-    let floor = config.max_streams.max(1);
+/// stream count, floored at the inner cap `max_streams`. Each round builds
+/// the head's sub-instance and re-runs the same Kruskal splitter on it, so
+/// the split cuts the head's lowest-utility interests first, exactly like
+/// the coarse partition itself; newly cut interests fold into the
+/// partition's cut list and `cut_mass` (they stay certificate-accounted).
+fn split_head_shards(
+    instance: &Instance,
+    supering: &mut Sharding,
+    max_streams: usize,
+    threshold: f64,
+) {
+    let floor = max_streams.max(1);
     let mut split_any = false;
     while supering.skew_ratio() > threshold {
         let mut head = 0usize;
@@ -750,22 +746,15 @@ fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &Shar
     }
     if split_any {
         supering.cut.sort_by_key(|c| (c.user, c.stream));
-        for (k, shard) in supering.shards.iter().enumerate() {
-            for &s in &shard.streams {
-                supering.shard_of_stream[s.index()] = k;
-            }
-            for &u in &shard.users {
-                supering.shard_of_user[u.index()] = k;
-            }
-        }
+        supering.index_members();
     }
 }
 
 /// The root of the partition tree: one partition of the instance plus its
 /// certificate terms and water-filled budget shares. This is the single
-/// source of truth for sharded solving — [`solve_sharded`] builds one per
-/// call and the ingest engine maintains one incrementally — and the only
-/// place where the tree's depth is decided:
+/// source of truth for sharded solving — [`solve_sharded`] and the ingest
+/// engine both solve through one tree per call — and the only place where
+/// the tree's depth is decided:
 ///
 /// * with [`ShardConfig::super_shards`] `≤ 1` the root partition is
 ///   [`shard_instance`] at `max_streams`, and its children are the leaves
@@ -792,7 +781,7 @@ pub struct HierarchicalSharding {
     /// Per-child water-filled budget share (one entry per measure).
     pub shares: Vec<Vec<f64>>,
     /// `true` at depth 2, where every child is a planned super-shard.
-    pub(crate) two_level: bool,
+    two_level: bool,
     /// Dense local index of every stream within its child.
     local_of_stream: Vec<usize>,
 }
@@ -802,19 +791,6 @@ impl HierarchicalSharding {
     /// its depth), full-budget bounds, water-filled shares.
     #[must_use]
     pub fn new(instance: &Instance, config: &ShardConfig) -> Self {
-        Self::with_bounds(instance, config, |root, k| {
-            shard_utility_bound(instance, root, k)
-        })
-    }
-
-    /// [`Self::new`] with the per-child bounds supplied by `bound(root, k)`,
-    /// called once per child in order: the ingest engine reuses the cached
-    /// bounds of unchanged children through it.
-    pub(crate) fn with_bounds(
-        instance: &Instance,
-        config: &ShardConfig,
-        mut bound: impl FnMut(&Sharding, usize) -> f64,
-    ) -> Self {
         let two_level = config.super_shards > 1;
         let supers = if two_level {
             super_partition(instance, config)
@@ -822,7 +798,7 @@ impl HierarchicalSharding {
             shard_instance(instance, config.max_streams)
         };
         let bounds: Vec<f64> = (0..supers.num_shards())
-            .map(|k| bound(&supers, k))
+            .map(|k| shard_utility_bound(instance, &supers, k))
             .collect();
         let shares = split_budgets(instance, &supers, &bounds, config.budget_slack);
         // One O(instance) pass for all per-child membership lookups:
@@ -876,23 +852,18 @@ impl HierarchicalSharding {
         )
     }
 
-    /// Plans the children `ks` of the root for solving, fanned out on
+    /// Plans every child of the root for solving, fanned out on
     /// `config.threads` workers (input-ordered, so fully deterministic).
     /// At depth 2 each child becomes its own sub-instance, partitioned by a
     /// depth-1 tree of its own: the inner partition at `max_streams`, the
     /// inner bounds (water-fill weights only — never certificate terms) and
     /// the inner water-fill of the child's share.
-    pub(crate) fn plan<'a>(
-        &'a self,
-        instance: &'a Instance,
-        config: &ShardConfig,
-        ks: &[usize],
-    ) -> Vec<Child<'a>> {
+    fn plan<'a>(&'a self, instance: &'a Instance, config: &ShardConfig) -> Vec<Child<'a>> {
         let inner_config = ShardConfig {
             super_shards: 0,
             ..*config
         };
-        mmd_par::parallel_map(config.threads, ks, |_, &k| Child {
+        mmd_par::parallel_map(config.threads, &self.supers.shards, |k, _| Child {
             root: self,
             instance,
             k,
@@ -906,11 +877,7 @@ impl HierarchicalSharding {
 }
 
 /// A planned super-shard: its standalone sub-instance (local ids, budgets =
-/// the super-shard's water-filled share) and the depth-1 tree over it. The
-/// plan is built identically in the from-scratch and the incremental
-/// paths, so leaf reuse in the ingest engine is sound: an unchanged
-/// (membership, content, share) triple reproduces a leaf's instance
-/// bit-for-bit.
+/// the super-shard's water-filled share) and the depth-1 tree over it.
 struct SuperPlan {
     sub: Instance,
     inner: HierarchicalSharding,
@@ -921,17 +888,17 @@ struct SuperPlan {
 /// own (exactly the flat solve). At depth 2 it is a planned super-shard
 /// whose inner shards are the leaves, finished by the super-shard tail of
 /// [`Child::finish`].
-pub(crate) struct Child<'a> {
+struct Child<'a> {
     root: &'a HierarchicalSharding,
     instance: &'a Instance,
     /// The child's index in the root partition.
-    pub(crate) k: usize,
+    k: usize,
     plan: Option<SuperPlan>,
 }
 
 impl Child<'_> {
     /// Number of leaves under the child.
-    pub(crate) fn num_leaves(&self) -> usize {
+    fn num_leaves(&self) -> usize {
         self.plan.as_ref().map_or(1, |p| p.inner.num_supers())
     }
 
@@ -943,13 +910,14 @@ impl Child<'_> {
         }
     }
 
-    /// Leaf `j`'s global membership, budget share and water-fill weight.
-    /// Membership, member content and share fully determine the leaf's
-    /// instance (up to its name), so they key leaf reuse.
-    pub(crate) fn leaf(&self, j: usize) -> (Shard, &[f64], f64) {
+    /// Leaf `j` with its global membership and budget share, unsolved
+    /// (an empty local). Membership, member content and share fully
+    /// determine the leaf's instance (up to its name), so they key the
+    /// leaf memo.
+    fn leaf(&self, j: usize) -> Leaf {
         let (tree, _, i) = self.leaf_parent(j);
         let leaf = &tree.supers.shards[i];
-        let global = if self.plan.is_some() {
+        let shard = if self.plan.is_some() {
             // Sub-instance ids are dense in the child's member order.
             let outer = &self.root.supers.shards[self.k];
             Shard {
@@ -963,12 +931,20 @@ impl Child<'_> {
         } else {
             leaf.clone()
         };
-        (global, &tree.shares[i], tree.bounds[i])
+        Leaf {
+            local: Assignment::new(shard.users.len()),
+            shard,
+            share: tree.shares[i].clone(),
+            state: LeafState::Solved,
+            missed: true,
+            child: self.k,
+            index: j,
+        }
     }
 
     /// Builds leaf `j`'s standalone instance, named `"{instance}#shard{k}"`
     /// at depth 1 and `"{instance}#super{k}#shard{j}"` at depth 2.
-    pub(crate) fn build_leaf(&self, j: usize) -> Instance {
+    fn build_leaf(&self, j: usize) -> Instance {
         let (tree, instance, i) = self.leaf_parent(j);
         tree.build_child(instance, i, "shard")
     }
@@ -980,11 +956,7 @@ impl Child<'_> {
     /// tail: merge the leaves over the sub-instance and [`reconcile`] it
     /// against the share budgets, exactly like the root does for its
     /// children.
-    pub(crate) fn finish<'b>(
-        &self,
-        locals: impl IntoIterator<Item = &'b Assignment>,
-        global_fill: bool,
-    ) -> (Assignment, usize) {
+    fn finish<'b>(&self, locals: impl IntoIterator<Item = &'b Assignment>) -> (Assignment, usize) {
         let Some(plan) = &self.plan else {
             let local = locals
                 .into_iter()
@@ -996,22 +968,14 @@ impl Child<'_> {
         for (shard, local) in plan.inner.supers.shards.iter().zip(locals) {
             merge_local(&mut merged, shard, local);
         }
-        let repaired = reconcile(&plan.sub, &mut merged, global_fill);
+        let repaired = reconcile(&plan.sub, &mut merged);
         (merged, repaired)
-    }
-
-    /// Interests cut by the child's inner partition: count and utility
-    /// mass (none at depth 1).
-    pub(crate) fn inner_cut(&self) -> (usize, f64) {
-        self.plan.as_ref().map_or((0, 0.0), |p| {
-            (p.inner.supers.cut.len(), p.inner.supers.cut_mass)
-        })
     }
 }
 
 /// Merges a solution over `shard`'s members (local ids dense in the order
 /// of `shard.streams` / `shard.users`) into `merged`.
-pub(crate) fn merge_local(merged: &mut Assignment, shard: &Shard, local: &Assignment) {
+fn merge_local(merged: &mut Assignment, shard: &Shard, local: &Assignment) {
     for (lu, &gu) in shard.users.iter().enumerate() {
         for ls in local.streams_of(UserId::new(lu)) {
             merged.assign(gu, shard.streams[ls.index()]);
@@ -1020,11 +984,11 @@ pub(crate) fn merge_local(merged: &mut Assignment, shard: &Shard, local: &Assign
 }
 
 /// The reconciliation tail every merge runs: the budget repair pass, then
-/// (when `global_fill` is set and the repair left the assignment feasible)
-/// a [`residual_fill`]. Returns the number of streams the repair dropped.
-pub(crate) fn reconcile(instance: &Instance, merged: &mut Assignment, global_fill: bool) -> usize {
+/// (when the repair left the assignment feasible) a [`residual_fill`].
+/// Returns the number of streams the repair dropped.
+fn reconcile(instance: &Instance, merged: &mut Assignment) -> usize {
     let repaired = repair_budgets(instance, merged);
-    if global_fill && merged.check_feasible(instance).is_ok() {
+    if merged.check_feasible(instance).is_ok() {
         residual_fill(instance, merged);
     }
     repaired
@@ -1039,6 +1003,290 @@ pub(crate) fn fraction_of(part: f64, whole: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Work units of one leaf solve: streams × users, floored at one so even
+/// degenerate leaves register against a work budget.
+fn work_units(streams: usize, users: usize) -> u64 {
+    (streams as u64).saturating_mul(users as u64).max(1)
+}
+
+/// Where a leaf's solution in a [`TreeSolve`] came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LeafState {
+    /// Taken from the leaf memo as is.
+    Reused,
+    /// Solved in this tree solve.
+    Solved,
+    /// Skipped by a budget trip: the memo entry with the same membership
+    /// stands in for it, else an empty solution.
+    Skipped,
+}
+
+/// One leaf of a solved tree: its global membership, the budget share it
+/// is solved under, and its solution over its own members (leaf-local ids).
+#[derive(Clone, Debug)]
+pub(crate) struct Leaf {
+    pub(crate) shard: Shard,
+    pub(crate) share: Vec<f64>,
+    pub(crate) local: Assignment,
+    pub(crate) state: LeafState,
+    /// `true` when the memo could not serve the leaf, before any
+    /// escalation to a full re-solve.
+    pub(crate) missed: bool,
+    /// The root child the leaf belongs to, and its index under it.
+    child: usize,
+    index: usize,
+}
+
+/// A memo of solved leaves a tree solve may take solutions from (the
+/// ingest engine's leaf cache).
+pub(crate) trait LeafMemo {
+    /// The memoized solution over exactly `leaf`'s members (leaf-local
+    /// ids), if there is one, and whether it is what a fresh solve of the
+    /// leaf under `share` would return: the entry is not stale, its
+    /// members' content is untouched and it was solved under `share`.
+    fn find(&self, leaf: &Shard, share: &[f64]) -> Option<(&Assignment, bool)>;
+}
+
+/// How an incremental caller drives a tree solve: the memo it reuses, the
+/// thresholds that escalate to a full re-solve, and the solve-cost budget
+/// of the [`crate::govern`] layer.
+pub(crate) struct Governance<'a> {
+    pub(crate) memo: &'a dyn LeafMemo,
+    /// Solve every leaf when more than this fraction of them miss the memo.
+    pub(crate) max_dirty_fraction: f64,
+    /// Solve every leaf when the root's cut mass exceeds this fraction of
+    /// the upper bound.
+    pub(crate) max_cut_fraction: f64,
+    pub(crate) budget: SolveBudget,
+    /// When the apply started: wall limits count from here.
+    pub(crate) started: Instant,
+}
+
+/// Result of a governed tree solve: the certified [`ShardedOutcome`] plus
+/// what the incremental caller needs to report and to rebuild its memo.
+#[derive(Debug)]
+pub(crate) struct TreeSolve {
+    pub(crate) outcome: ShardedOutcome,
+    /// Every leaf in tree order (children in root order, leaves in child
+    /// order).
+    pub(crate) leaves: Vec<Leaf>,
+    /// Root children at depth 2 (0 at depth 1), those holding a memo miss
+    /// before escalation, and those holding a leaf solved here.
+    pub(crate) supers: usize,
+    pub(crate) dirty_supers: usize,
+    pub(crate) resolved_supers: usize,
+    /// Whether an escalation trigger made every leaf solve.
+    pub(crate) full_resolve: bool,
+    /// Whether governance deferred an escalated full re-solve.
+    pub(crate) deferred_full: bool,
+    pub(crate) soft_tripped: bool,
+    pub(crate) hard_tripped: bool,
+    /// Sum of the certificate terms of root children with a skipped leaf.
+    pub(crate) skipped_bound: f64,
+}
+
+/// What a tree solve produced: a solved tree, or the signal that a hard
+/// budget trip shed it ([`DegradeAction::ShedToCache`]) before any result.
+pub(crate) enum Tree {
+    Solved(Box<TreeSolve>),
+    Shed { soft_tripped: bool },
+}
+
+/// The one tree solve behind [`solve_sharded`] and the ingest engine:
+/// build the root ([`HierarchicalSharding`]), plan every child, take each
+/// leaf's solution from the memo of `governance` when it is valid there,
+/// solve the rest through one [`solve_batch`] loop, finish each child,
+/// merge in child order and reconcile at the root.
+///
+/// Without `governance` every leaf is solved in a single `solve_batch`
+/// call. With it, too many memo misses or too much cut mass escalate to
+/// solving every leaf (unless the budget cannot afford that: then the
+/// escalation is deferred), and the loop checks the budget between
+/// worker-sized chunks of leaves, never mid-kernel. Leaf solves are
+/// independent, so neither reuse nor chunking changes a result: a memo
+/// entry is reused only when it is what the solve would return.
+pub(crate) fn solve_tree(
+    instance: &Instance,
+    config: &ShardConfig,
+    governance: Option<&Governance<'_>>,
+) -> Result<Tree, SolveError> {
+    let threads = config.threads;
+    let root = HierarchicalSharding::new(instance, config);
+    let upper_bound = root.upper_bound(instance);
+    let children = root.plan(instance, config);
+    let mut leaves: Vec<Leaf> = children
+        .iter()
+        .flat_map(|child| (0..child.num_leaves()).map(|j| child.leaf(j)))
+        .collect();
+    let found: Vec<Option<(&Assignment, bool)>> = leaves
+        .iter_mut()
+        .map(|leaf| {
+            let entry = governance.and_then(|g| g.memo.find(&leaf.shard, &leaf.share));
+            leaf.missed = !entry.is_some_and(|(_, fresh)| fresh);
+            entry
+        })
+        .collect();
+
+    let budget = governance.map_or(SolveBudget::unlimited(), |g| g.budget);
+    let started = governance.map_or_else(Instant::now, |g| g.started);
+    let misses = leaves.iter().filter(|l| l.missed).count();
+    let mut full_resolve = governance.is_some_and(|g| {
+        fraction_of(misses as f64, leaves.len() as f64) > g.max_dirty_fraction
+            || fraction_of(root.supers.cut_mass, upper_bound) > g.max_cut_fraction
+    });
+    let mut deferred_full = false;
+    if full_resolve {
+        // DeferFull rung of the ladder: when solving every leaf cannot fit
+        // the budget, stay incremental and ask background maintenance to
+        // catch up instead of blowing the latency target on this solve.
+        let full_work: u64 = leaves
+            .iter()
+            .map(|l| work_units(l.shard.streams.len(), l.shard.users.len()))
+            .sum();
+        let elapsed = started.elapsed();
+        if budget.trips_soft(elapsed, 0, full_work) || budget.trips_hard(elapsed, 0, full_work) {
+            full_resolve = false;
+            deferred_full = true;
+        }
+    }
+    if !full_resolve {
+        for (leaf, entry) in leaves.iter_mut().zip(&found) {
+            if let Some((local, true)) = entry {
+                leaf.local = (*local).clone();
+                leaf.state = LeafState::Reused;
+            }
+        }
+    }
+
+    let todo: Vec<usize> = (0..leaves.len())
+        .filter(|&i| leaves[i].state == LeafState::Solved)
+        .collect();
+    let subs: Vec<Instance> = mmd_par::parallel_map(threads, &todo, |_, &i| {
+        children[leaves[i].child].build_leaf(leaves[i].index)
+    });
+    // One chunk spans every leaf unless a budget is armed.
+    let chunk = if budget.is_unlimited() {
+        subs.len()
+    } else {
+        mmd_par::resolve(threads)
+    }
+    .max(1);
+    let (mut soft_tripped, mut hard_tripped, mut spent) = (false, false, 0u64);
+    for (batch, ids) in subs.chunks(chunk).zip(todo.chunks(chunk)) {
+        let next_work: u64 = batch
+            .iter()
+            .map(|s| work_units(s.num_streams(), s.num_users()))
+            .sum();
+        let elapsed = started.elapsed();
+        if !hard_tripped && budget.trips_hard(elapsed, spent, next_work) {
+            hard_tripped = true;
+            match budget.hard_action {
+                DegradeAction::ShedToCache => return Ok(Tree::Shed { soft_tripped }),
+                DegradeAction::DeferFull => deferred_full = true,
+                DegradeAction::WidenGap => {}
+            }
+        }
+        if !soft_tripped && !hard_tripped && budget.trips_soft(elapsed, spent, next_work) {
+            soft_tripped = true;
+        }
+        if soft_tripped || hard_tripped {
+            // The memo entry with the same membership is index-safe, and
+            // the reconciliation passes re-enforce the real budgets; the
+            // child's fresh bound stays in the certificate either way.
+            for &i in ids {
+                leaves[i].state = LeafState::Skipped;
+                if let Some((local, _)) = found[i] {
+                    leaves[i].local = local.clone();
+                }
+            }
+            continue;
+        }
+        for (&i, solved) in ids.iter().zip(solve_batch(batch, &config.mmd, threads)) {
+            leaves[i].local = solved?.assignment;
+        }
+        spent = spent.saturating_add(next_work);
+    }
+
+    // The per-child tails are independent too. Every child has at least
+    // one leaf, so the leaves group into the children in order.
+    let groups: Vec<&[Leaf]> = leaves.chunk_by(|a, b| a.child == b.child).collect();
+    debug_assert_eq!(groups.len(), children.len());
+    let finished: Vec<(Assignment, usize)> =
+        mmd_par::parallel_map(threads, &children, |p, child| {
+            child.finish(groups[p].iter().map(|l| &l.local))
+        });
+    let mut merged = Assignment::for_instance(instance);
+    let mut cut_edges = root.supers.cut.len();
+    let mut cut_mass = root.supers.cut_mass;
+    let mut repaired_streams = 0usize;
+    // The children's solutions are borrowed, not consumed, so they stay
+    // allocated until after the reconcile: the merged assignment's tree
+    // nodes then do not land scattered in their freed memory, which made
+    // the reconcile passes about 1.5x slower on clustered instances.
+    for (child, (local, repaired)) in children.iter().zip(&finished) {
+        if let Some(plan) = &child.plan {
+            // Interests cut by the child's inner partition.
+            cut_edges += plan.inner.supers.cut.len();
+            cut_mass += plan.inner.supers.cut_mass;
+        }
+        repaired_streams += repaired;
+        merge_local(&mut merged, &root.supers.shards[child.k], local);
+    }
+    repaired_streams += reconcile(instance, &mut merged);
+    let utility = merged.utility(instance);
+    debug_assert!(
+        merged.check_feasible(instance).is_ok(),
+        "sharded output must be feasible: {:?}",
+        merged.check_feasible(instance)
+    );
+
+    // Super-shard counters exist at depth 2 only.
+    let supers = |holds: fn(&Leaf) -> bool| {
+        let count = groups.iter().filter(|g| g.iter().any(holds)).count();
+        if root.two_level {
+            count
+        } else {
+            0
+        }
+    };
+    let (dirty_supers, resolved_supers) = (
+        supers(|l| l.missed),
+        supers(|l| l.state == LeafState::Solved),
+    );
+    let skipped_bound = groups
+        .iter()
+        .zip(&root.bounds)
+        .filter(|(g, _)| g.iter().any(|l| l.state == LeafState::Skipped))
+        .fold(0.0f64, |acc, (_, bound)| acc + bound);
+    Ok(Tree::Solved(Box::new(TreeSolve {
+        outcome: ShardedOutcome {
+            assignment: merged,
+            utility,
+            upper_bound,
+            gap_fraction: fraction_of(upper_bound - utility, upper_bound),
+            num_shards: leaves.len(),
+            largest_shard: leaves
+                .iter()
+                .map(|l| l.shard.streams.len())
+                .max()
+                .unwrap_or(0),
+            cut_edges,
+            cut_mass,
+            repaired_streams,
+            skew_ratio: root.supers.skew_ratio(),
+        },
+        supers: supers(|_| true),
+        dirty_supers,
+        resolved_supers,
+        leaves,
+        full_resolve,
+        deferred_full,
+        soft_tripped,
+        hard_tripped,
+        skipped_bound,
+    })))
 }
 
 /// Result of [`solve_sharded`]: a feasible assignment plus the certificate
@@ -1077,14 +1325,15 @@ pub struct ShardedOutcome {
 /// through one flat [`solve_batch`] fan-out at `config.threads` workers —
 /// at depth 2 workers steal inner-shard solves across super-shards, so a
 /// Zipf head cannot pin the critical path — finish each child, merge,
-/// repair the shared budgets, and optionally run a global
-/// [`residual_fill`].
+/// repair the shared budgets, and run a global [`residual_fill`].
 ///
 /// The outcome is deterministic and bit-identical at any thread count
 /// (`solve_batch` results are per-instance deterministic and
 /// input-ordered). On an instance whose components are disjoint and whose
 /// budgets are uncontended, the result is bit-identical to [`solve_mmd`]
-/// (`tests/shard_equivalence.rs` pins this).
+/// (`tests/shard_equivalence.rs` pins this). The ingest engine runs the
+/// same tree solve with a leaf memo, so its committed states are
+/// bit-identical to this function's by construction.
 ///
 /// Certificate: the upper bound is the root's
 /// ([`HierarchicalSharding::upper_bound`]) at either depth — restricting OPT
@@ -1129,63 +1378,10 @@ pub fn solve_sharded(
     instance: &Instance,
     config: &ShardConfig,
 ) -> Result<ShardedOutcome, SolveError> {
-    let root = HierarchicalSharding::new(instance, config);
-    let all: Vec<usize> = (0..root.num_supers()).collect();
-    let children = root.plan(instance, config, &all);
-    let leaves: Vec<(usize, usize)> = children
-        .iter()
-        .enumerate()
-        .flat_map(|(p, child)| (0..child.num_leaves()).map(move |j| (p, j)))
-        .collect();
-    let subs: Vec<Instance> = mmd_par::parallel_map(config.threads, &leaves, |_, &(p, j)| {
-        children[p].build_leaf(j)
-    });
-    let mut results = solve_batch(&subs, &config.mmd, config.threads).into_iter();
-    let mut locals: Vec<Vec<Assignment>> = Vec::with_capacity(children.len());
-    for child in &children {
-        let solved: Result<Vec<Assignment>, SolveError> = (0..child.num_leaves())
-            .map(|_| Ok(results.next().expect("one result per leaf")?.assignment))
-            .collect();
-        locals.push(solved?);
+    match solve_tree(instance, config, None)? {
+        Tree::Solved(tree) => Ok(tree.outcome),
+        Tree::Shed { .. } => unreachable!("an unlimited budget never sheds"),
     }
-    // The per-child tails are independent too.
-    let finished: Vec<(Assignment, usize)> =
-        mmd_par::parallel_map(config.threads, &children, |p, child| {
-            child.finish(&locals[p], config.global_fill)
-        });
-
-    let mut merged = Assignment::for_instance(instance);
-    let mut cut_edges = root.supers.cut.len();
-    let mut cut_mass = root.supers.cut_mass;
-    let mut repaired_streams = 0usize;
-    for (child, (local, repaired)) in children.iter().zip(finished) {
-        let (edges, mass) = child.inner_cut();
-        cut_edges += edges;
-        cut_mass += mass;
-        repaired_streams += repaired;
-        merge_local(&mut merged, &root.supers.shards[child.k], &local);
-    }
-    repaired_streams += reconcile(instance, &mut merged, config.global_fill);
-
-    let utility = merged.utility(instance);
-    let upper_bound = root.upper_bound(instance);
-    debug_assert!(
-        merged.check_feasible(instance).is_ok(),
-        "sharded output must be feasible: {:?}",
-        merged.check_feasible(instance)
-    );
-    Ok(ShardedOutcome {
-        assignment: merged,
-        utility,
-        upper_bound,
-        gap_fraction: fraction_of(upper_bound - utility, upper_bound),
-        num_shards: subs.len(),
-        largest_shard: subs.iter().map(Instance::num_streams).max().unwrap_or(0),
-        cut_edges,
-        cut_mass,
-        repaired_streams,
-        skew_ratio: root.supers.skew_ratio(),
-    })
 }
 
 /// The global repair pass: while some server budget is violated, drop the
@@ -1718,19 +1914,14 @@ mod tests {
         };
         let supers = super_partition(&inst, &cfg);
         assert!(
-            supers.skew_ratio() <= cfg.head_split_skew,
+            supers.skew_ratio() <= HEAD_SPLIT_SKEW,
             "post-split skew {} must be at or under the threshold",
             supers.skew_ratio()
         );
         assert!(supers.largest_shard_streams() <= 2);
-        // Disabled threshold keeps the skewed head intact.
-        let raw = super_partition(
-            &inst,
-            &ShardConfig {
-                head_split_skew: 0.0,
-                ..cfg
-            },
-        );
+        // Without splitting the coarse partition (cap ⌈8 / 2⌉ = 4) keeps
+        // the skewed head intact.
+        let raw = shard_instance(&inst, 4);
         assert_eq!(raw.largest_shard_streams(), 4);
         assert!(raw.skew_ratio() > 2.0);
         // Splitting cut interests are folded into the certificate terms.
@@ -1755,15 +1946,13 @@ mod tests {
     #[test]
     fn head_split_floor_exit_keeps_membership_maps_consistent() {
         let inst = skewed_instance();
-        let cfg = ShardConfig {
-            super_shards: 2,
-            max_streams: 2,
-            head_split_skew: 1.01,
-            ..ShardConfig::default()
-        };
-        let supers = super_partition(&inst, &cfg);
+        let threshold = 1.01;
+        // The coarse partition at super_shards 2 (cap 4), split with an
+        // inner cap of 2.
+        let mut supers = shard_instance(&inst, 4);
+        split_head_shards(&inst, &mut supers, 2, threshold);
         // The floor stops splitting before the skew target is met.
-        assert!(supers.skew_ratio() > cfg.head_split_skew);
+        assert!(supers.skew_ratio() > threshold);
         assert!(supers.largest_shard_streams() <= 2);
         let mut stream_seen = vec![false; inst.num_streams()];
         let mut user_seen = vec![false; inst.num_users()];
@@ -1794,7 +1983,7 @@ mod tests {
         assert!(base.assignment.check_feasible(&inst).is_ok());
         assert!(base.utility > 0.0);
         assert!(base.utility <= base.upper_bound + 1e-9, "bracket must hold");
-        assert!(base.skew_ratio <= cfg.head_split_skew);
+        assert!(base.skew_ratio <= HEAD_SPLIT_SKEW);
         for threads in [2usize, 4, 8] {
             let out = solve_sharded(&inst, &ShardConfig { threads, ..cfg }).unwrap();
             assert_eq!(out.assignment, base.assignment, "threads {threads}");

@@ -6,34 +6,34 @@
 //! offline pipeline answers every change by regenerating and re-solving the
 //! whole instance; this module answers it incrementally. An
 //! [`IngestEngine`] owns a live problem model and its committed solution,
-//! accepts a typed update stream ([`Update`]), maps each applied batch to
-//! the minimal set of *dirty* shards through the stream–audience graph of
-//! [`crate::algo::shard`], and re-solves only those shards — the clean
-//! shards' solutions, upper bounds and budget shares are reused from cache.
+//! accepts a typed update stream ([`Update`]), and answers each applied
+//! batch with the same tree solve as [`solve_sharded`] — except that every
+//! leaf whose solve would repeat a cached one takes its solution from a
+//! *leaf memo* instead of re-solving.
 //!
 //! # Equivalence contract
 //!
 //! After every [`apply`](IngestEngine::apply) the engine's state is
 //! **bit-identical** to a from-scratch [`solve_sharded`] of the updated
 //! instance at the same [`ShardConfig`] — the property
-//! `tests/ingest_churn.rs` pins differentially across thread counts. The
-//! engine guarantees it by construction rather than by approximation:
+//! `tests/ingest_churn.rs` pins differentially across thread counts. It
+//! holds by construction, because there is only one pipeline:
 //!
-//! * the shard *partition* is refreshed on every apply (a cheap
-//!   near-linear pass), so structural drift cannot accumulate;
-//! * a cached per-shard solution is reused only when the shard's
-//!   membership, its intra-shard content (no touched stream or user) *and*
-//!   its water-filled budget share are unchanged — anything else re-solves
-//!   through the identical [`solve_batch`] path;
-//! * the global passes (budget water-fill, repair, residual fill) are
-//!   re-run on every apply, exactly as [`solve_sharded`] runs them. The
-//!   water-fill is re-derived from per-shard upper bounds that are
-//!   recomputed for dirty shards (and for all shards when a shared budget
-//!   was touched) and reused verbatim otherwise.
+//! * both paths call the same tree solve of [`crate::algo::shard`]: build
+//!   the root partition with its bounds and water-filled shares, plan
+//!   every child, solve the leaves through one [`solve_batch`] loop,
+//!   finish each child, merge and reconcile. The partition is refreshed
+//!   on every apply, so structural drift cannot accumulate;
+//! * the only difference is the memo: a leaf reuses the cached solution
+//!   with the same global membership when that entry is not stale, no
+//!   member was touched by the batch, and its water-filled share is
+//!   unchanged. Membership, content and share determine the leaf's
+//!   instance (its name is only a label), so the reused solution is the
+//!   one the solve would return.
 //!
-//! The expensive part of a sharded solve is the per-shard pipeline solves;
-//! everything reused or re-run above is linear-ish bookkeeping. On
-//! low-churn batches over many shards the incremental path therefore beats
+//! The expensive part of a sharded solve is the per-leaf pipeline solves;
+//! everything else is linear-ish bookkeeping that both paths run. On
+//! low-churn batches over many leaves the incremental path therefore beats
 //! the full re-solve by roughly the inverse dirty fraction (the `ingest`
 //! rungs of the perf ladder gate this).
 //!
@@ -48,19 +48,19 @@
 //!
 //! # Re-shard trigger
 //!
-//! When a batch dirties more than [`IngestConfig::max_dirty_fraction`] of
-//! the shards, or the cut mass exceeds [`IngestConfig::max_cut_fraction`]
-//! of the upper bound, the engine escalates to a full re-solve of every
-//! shard (the partition itself is always fresh). Incremental bookkeeping
+//! When more than [`IngestConfig::max_dirty_fraction`] of the leaves miss
+//! the memo (at either tree depth), or the root cut mass exceeds
+//! [`IngestConfig::max_cut_fraction`] of the upper bound, the engine
+//! escalates to a full re-solve: every leaf is solved and the memo is
+//! ignored (the partition itself is always fresh). Incremental bookkeeping
 //! buys nothing once most of the solution is stale — the trigger keeps the
-//! engine from paying cache-maintenance overhead on top of a full solve's
-//! work.
+//! engine from paying memo overhead on top of a full solve's work.
 //!
 //! # Solve-cost governance
 //!
 //! [`IngestConfig::budget`] arms the [`crate::govern`] layer: soft/hard
 //! limits on one apply's wall time and work (streams × users re-solved),
-//! checked between shard solves, with the escalating degrade ladder —
+//! checked between leaf solves, with the escalating degrade ladder —
 //! widen the certified gap (skip remaining dirty solves, keep their fresh
 //! bounds), defer an escalated full re-solve to background maintenance
 //! ([`refresh_wanted`](IngestEngine::refresh_wanted)), or shed to the
@@ -94,24 +94,30 @@
 //! the synchronous path — is preserved because one solver thread applies
 //! epochs strictly in submission order.
 //!
+//! A panic inside a re-solve does not take the engine down:
+//! [`apply`](IngestEngine::apply) and
+//! [`refresh_full`](IngestEngine::refresh_full) catch it and return
+//! [`IngestError::SolverPanic`] with the committed state untouched.
+//!
 //! [`solve_sharded`]: crate::algo::shard::solve_sharded
+//! [`solve_batch`]: crate::algo::batch::solve_batch
 
 pub mod async_apply;
 
-use crate::algo::batch::solve_batch;
 use crate::algo::online::{OfferOutcome, OnlineAllocator, OnlineConfig};
 use crate::algo::shard::{
-    fraction_of, merge_local, reconcile, shard_utility_bound, HierarchicalSharding, Shard,
-    ShardConfig,
+    fraction_of, solve_tree, Governance, Leaf, LeafMemo, LeafState, Shard, ShardConfig, Tree,
+    TreeSolve,
 };
 use crate::assignment::Assignment;
 use crate::error::{BuildError, SolveError};
-use crate::govern::{DegradeAction, SolveBudget};
+use crate::govern::SolveBudget;
 use crate::ids::{StreamId, UserId};
 use crate::instance::Instance;
 use crate::num;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One update of the streaming frontend.
@@ -187,6 +193,9 @@ pub enum IngestError {
     Build(BuildError),
     /// A shard solve failed.
     Solve(SolveError),
+    /// A re-solve panicked. The panic was caught and the committed state
+    /// is unchanged; the message is the panic's payload.
+    SolverPanic(String),
     /// An asynchronous apply epoch was processed, but its outcome was
     /// pruned from the retention window before the waiter looked (see
     /// [`AsyncIngest::wait`](crate::AsyncIngest::wait)). The epoch *was*
@@ -222,6 +231,7 @@ impl fmt::Display for IngestError {
             ),
             IngestError::Build(e) => write!(f, "materializing updated instance: {e}"),
             IngestError::Solve(e) => write!(f, "re-solving dirty shards: {e}"),
+            IngestError::SolverPanic(message) => write!(f, "re-solve panicked: {message}"),
             IngestError::OutcomeExpired { epoch } => write!(
                 f,
                 "outcome of apply epoch {epoch} fell out of the retention window"
@@ -254,13 +264,15 @@ pub struct IngestConfig {
     ///
     /// [`solve_sharded`]: crate::algo::shard::solve_sharded
     pub shard: ShardConfig,
-    /// Full re-solve when a batch dirties more than this fraction of the
-    /// shards (see the module docs). `1.0` never escalates; `0.0`
-    /// escalates on any dirt at all (a batch that touched nothing still
-    /// re-solves nothing — there is nothing stale to refresh).
+    /// Full re-solve when more than this fraction of the shards (inner
+    /// shards at depth 2) miss the leaf memo (see the module docs). `1.0`
+    /// never escalates; `0.0` escalates on any miss at all (a batch that
+    /// touched nothing still re-solves nothing — there is nothing stale to
+    /// refresh).
     pub max_dirty_fraction: f64,
-    /// Full re-solve when `cut_mass / upper_bound` exceeds this fraction —
-    /// the partition has degraded enough that cached locality is suspect.
+    /// Full re-solve when the root's `cut_mass / upper_bound` exceeds
+    /// this fraction — the partition has degraded enough that memoized
+    /// locality is suspect.
     pub max_cut_fraction: f64,
     /// Per-apply solve-cost budget (see [`crate::govern`]). The default is
     /// [`SolveBudget::unlimited`], under which every apply is bit-identical
@@ -299,13 +311,13 @@ impl IngestConfig {
 
 /// The result of one applied batch: how much work the batch caused, and
 /// the refreshed certificate for the updated instance.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IngestOutcome {
     /// Updates applied in this batch.
     pub updates_applied: usize,
     /// Shards of the refreshed partition.
     pub num_shards: usize,
-    /// Shards the updates dirtied (before any trigger escalation).
+    /// Shards that missed the leaf memo (before any trigger escalation).
     pub dirty_shards: usize,
     /// Shards actually re-solved (equals `num_shards` on a full re-solve).
     pub resolved_shards: usize,
@@ -313,10 +325,10 @@ pub struct IngestOutcome {
     /// two-level mode `num_shards`/`dirty_shards`/`resolved_shards` count
     /// *inner* shards).
     pub super_shards: usize,
-    /// Super-shards the updates dirtied, before any trigger escalation
-    /// (0 in single-level mode).
+    /// Super-shards holding an inner shard that missed the leaf memo,
+    /// before any trigger escalation (0 in single-level mode).
     pub dirty_supers: usize,
-    /// Super-shards actually re-planned and re-merged (equals
+    /// Super-shards holding an inner shard re-solved by this apply (equals
     /// `super_shards` on a full re-solve; 0 in single-level mode).
     pub resolved_supers: usize,
     /// Whether a re-shard trigger escalated this batch to a full re-solve.
@@ -348,8 +360,9 @@ pub struct IngestOutcome {
     pub skipped_shards: usize,
     /// `true` when this outcome was answered from the last committed
     /// bracket because a hard trip shed the apply
-    /// ([`DegradeAction::ShedToCache`]): the batch was *not* applied and
-    /// the certificate describes the previous committed instance.
+    /// ([`ShedToCache`](crate::govern::DegradeAction::ShedToCache)): the
+    /// batch was *not* applied and the certificate describes the previous
+    /// committed instance.
     pub stale: bool,
     /// Fraction of `upper_bound` contributed by shard bounds whose solves
     /// were skipped (`1.0` for a shed apply, `0.0` when nothing was
@@ -413,13 +426,13 @@ pub struct IngestMetrics {
     /// Super-shard slots across all applies (`super_shards` summed per
     /// batch; stays 0 in single-level mode).
     pub super_slots: u64,
-    /// Super-shards re-planned across all applies (two-level mode).
+    /// Super-shards holding a re-solved inner shard, across all applies
+    /// (two-level mode).
     pub resolved_supers: u64,
-    /// Inner-shard solves skipped inside dirty super-shards because the
-    /// cached `(membership, content, share)`-keyed solution was still
-    /// valid (two-level mode).
+    /// Shard solves skipped because the leaf memo held the
+    /// `(membership, content, share)`-keyed solution (either mode).
     pub inner_cache_hits: u64,
-    /// Inner-shard solves actually run (two-level mode).
+    /// Shard solves actually run (either mode; equals `resolved_shards`).
     pub inner_cache_misses: u64,
     /// [`apply`](IngestEngine::apply) calls that returned an error (the
     /// committed state was left untouched each time).
@@ -456,9 +469,10 @@ impl IngestMetrics {
         }
     }
 
-    /// Lifetime re-planned fraction of super-shard slots (two-level mode):
-    /// `1.0` means every batch re-planned every super-shard, `0.0` means no
-    /// super-shard work at all (or no two-level applies yet).
+    /// Lifetime re-solved fraction of super-shard slots (two-level mode):
+    /// `1.0` means every batch re-solved an inner shard in every
+    /// super-shard, `0.0` means no inner shard was re-solved at all (or no
+    /// two-level applies yet).
     pub fn dirty_super_fraction(&self) -> f64 {
         if self.super_slots == 0 {
             0.0
@@ -476,11 +490,10 @@ struct InterestState {
 }
 
 /// Per-element touch flags accumulated while a batch is applied to the
-/// model: the inputs of the dirty-shard computation.
+/// model: a leaf with a touched member never reuses its memo entry.
 struct Touched {
     streams: Vec<bool>,
     users: Vec<bool>,
-    budgets: bool,
 }
 
 impl Touched {
@@ -488,7 +501,6 @@ impl Touched {
         Touched {
             streams: vec![false; ns],
             users: vec![false; nu],
-            budgets: false,
         }
     }
 
@@ -496,7 +508,6 @@ impl Touched {
         Touched {
             streams: vec![true; ns],
             users: vec![true; nu],
-            budgets: true,
         }
     }
 
@@ -543,20 +554,19 @@ impl Model {
         }
     }
 
-    /// Applies one update, recording what it touched. Errors leave the
-    /// model in the state reached so far — callers apply batches to a
-    /// scratch clone and commit on success.
+    /// Applies one update, recording what it touched: the structural
+    /// checks of [`Universe::validate`], then the stateful budget checks.
+    /// Errors leave the model in the state reached so far — callers apply
+    /// batches to a scratch clone and commit on success.
     fn apply(
         &mut self,
         base: &Instance,
         update: &Update,
         touched: &mut Touched,
     ) -> Result<(), IngestError> {
+        Universe::of(base).validate(update)?;
         match *update {
             Update::StreamArrival(s) => {
-                if s.index() >= base.num_streams() {
-                    return Err(IngestError::UnknownStream(s));
-                }
                 for (i, &b) in self.budgets.iter().enumerate() {
                     let cost = base.cost(s, i);
                     if !num::approx_le(cost, b) {
@@ -574,9 +584,6 @@ impl Model {
                 }
             }
             Update::StreamDeparture(s) => {
-                if s.index() >= base.num_streams() {
-                    return Err(IngestError::UnknownStream(s));
-                }
                 if self.live[s.index()] {
                     self.live[s.index()] = false;
                     touched.streams[s.index()] = true;
@@ -587,19 +594,6 @@ impl Model {
                 stream,
                 weight,
             } => {
-                if stream.index() >= base.num_streams() {
-                    return Err(IngestError::UnknownStream(stream));
-                }
-                if user.index() >= base.num_users() {
-                    return Err(IngestError::UnknownUser(user));
-                }
-                if !weight.is_finite() || weight < 0.0 {
-                    return Err(IngestError::InvalidWeight {
-                        user,
-                        stream,
-                        weight,
-                    });
-                }
                 let per_user = &mut self.interests[user.index()];
                 if weight == 0.0 {
                     per_user.remove(&stream);
@@ -621,12 +615,6 @@ impl Model {
                 }
             }
             Update::BudgetChange { measure, budget } => {
-                if measure >= self.budgets.len() {
-                    return Err(IngestError::UnknownMeasure(measure));
-                }
-                if budget.is_nan() || budget < 0.0 {
-                    return Err(IngestError::InvalidBudget { measure, budget });
-                }
                 for (si, &live) in self.live.iter().enumerate() {
                     let s = StreamId::new(si);
                     let cost = base.cost(s, measure);
@@ -639,10 +627,9 @@ impl Model {
                         });
                     }
                 }
-                if self.budgets[measure] != budget {
-                    self.budgets[measure] = budget;
-                    touched.budgets = true;
-                }
+                // Budgets reach the leaves only through their water-filled
+                // shares, which key the memo: nothing to mark touched.
+                self.budgets[measure] = budget;
             }
         }
         Ok(())
@@ -676,63 +663,59 @@ impl Model {
     }
 }
 
-/// Everything cached about one solved node of the partition tree — a
-/// child of the root, or a leaf under a depth-2 child — keyed by its
-/// membership.
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    streams: Vec<StreamId>,
-    users: Vec<UserId>,
-    /// The budget share the cached solution was solved under.
-    share: Vec<f64>,
-    /// The node's utility bound under its parent's budgets — for a child
-    /// of the root, its certificate term under the full budgets.
-    bound: f64,
-    /// The cached solution over the node's members (local ids).
-    local: Assignment,
-    /// `true` when a budget trip skipped a leaf solve behind `local`: the
-    /// solution is a stale (or empty) fallback. Stale entries never match
-    /// as clean, so the next apply re-solves them — budget permitting —
-    /// and governance self-heals.
-    stale: bool,
-    /// Leaves under the node (1 for a leaf) and the interests its inner
-    /// partition cut: counters folded into every outcome that reuses the
-    /// entry.
-    num_leaves: usize,
-    cut_edges: usize,
-    cut_mass: f64,
-    /// Streams the node's own repair pass dropped (0 for a leaf).
-    repaired: usize,
-    /// The leaves under a depth-2 child, reused one by one when the child
-    /// is re-planned; empty for a leaf.
-    children: Vec<CacheEntry>,
+/// The leaf memo: every leaf of the last committed tree, found through
+/// the leaf holding a given stream or user. A leaf is looked up by its
+/// first stream (or, when it has none, its first user) and matches only
+/// an entry with exactly its membership.
+#[derive(Clone, Debug, Default)]
+struct LeafCache {
+    leaves: Vec<Leaf>,
+    leaf_of_stream: Vec<usize>,
+    leaf_of_user: Vec<usize>,
 }
 
-impl CacheEntry {
-    fn leaf(shard: Shard, share: Vec<f64>, bound: f64, local: Assignment) -> Self {
-        CacheEntry {
-            streams: shard.streams,
-            users: shard.users,
-            share,
-            bound,
-            local,
-            stale: false,
-            num_leaves: 1,
-            cut_edges: 0,
-            cut_mass: 0.0,
-            repaired: 0,
-            children: Vec::new(),
+impl LeafCache {
+    fn new(leaves: Vec<Leaf>, instance: &Instance) -> Self {
+        let mut leaf_of_stream = vec![usize::MAX; instance.num_streams()];
+        let mut leaf_of_user = vec![usize::MAX; instance.num_users()];
+        for (j, leaf) in leaves.iter().enumerate() {
+            for s in &leaf.shard.streams {
+                leaf_of_stream[s.index()] = j;
+            }
+            for u in &leaf.shard.users {
+                leaf_of_user[u.index()] = j;
+            }
+        }
+        LeafCache {
+            leaves,
+            leaf_of_stream,
+            leaf_of_user,
         }
     }
+}
 
-    /// The leaf entries under this entry: its children, or the entry
-    /// itself when it is a leaf.
-    fn leaves(&self) -> &[CacheEntry] {
-        if self.children.is_empty() {
-            std::slice::from_ref(self)
-        } else {
-            &self.children
-        }
+/// The memo as one resolve sees it. An entry is fresh when a budget trip
+/// did not skip its solve (stale entries never hit, so governance
+/// self-heals), no member was touched by the batch, and it was solved
+/// under the same share.
+struct MemoView<'a> {
+    cache: &'a LeafCache,
+    touched: &'a Touched,
+}
+
+impl LeafMemo for MemoView<'_> {
+    fn find(&self, leaf: &Shard, share: &[f64]) -> Option<(&Assignment, bool)> {
+        let cache = self.cache;
+        let j = match (leaf.streams.first(), leaf.users.first()) {
+            (Some(s), _) => cache.leaf_of_stream.get(s.index()),
+            (None, Some(u)) => cache.leaf_of_user.get(u.index()),
+            (None, None) => None,
+        }?;
+        let entry = cache.leaves.get(*j).filter(|e| e.shard == *leaf)?;
+        let fresh = entry.state != LeafState::Skipped
+            && entry.share == share
+            && !self.touched.touches(leaf);
+        Some((&entry.local, fresh))
     }
 }
 
@@ -835,30 +818,29 @@ pub struct IngestEngine {
     pending: Vec<Update>,
     current: Instance,
     assignment: Assignment,
-    /// One entry per child of the committed root partition.
-    cache: Vec<CacheEntry>,
-    cached_shard_of_stream: Vec<usize>,
-    cached_shard_of_user: Vec<usize>,
+    cache: LeafCache,
     last: IngestOutcome,
     metrics: IngestMetrics,
     /// Set when governance deferred an escalated full re-solve
-    /// ([`DegradeAction::DeferFull`]); cleared by a successful
-    /// [`refresh_full`](Self::refresh_full).
+    /// ([`DeferFull`](crate::govern::DegradeAction::DeferFull)); cleared
+    /// by a successful [`refresh_full`](Self::refresh_full).
     deferred_refresh: bool,
+    /// Fault injection: the resolve of the apply or refresh with this
+    /// 1-based ordinal (committed plus rejected) panics.
+    #[cfg(test)]
+    panic_on_apply: Option<u64>,
 }
 
-/// What [`IngestEngine::resolve`] produced: a committed outcome, or the
-/// signal that a hard budget trip shed the apply before anything was
-/// committed ([`DegradeAction::ShedToCache`]).
-enum Resolved {
-    Committed(IngestOutcome),
-    Shed { soft_tripped: bool },
-}
-
-/// Work units of one shard solve: streams × users, floored at one so even
-/// degenerate shards register against a work budget.
-fn work_units(streams: usize, users: usize) -> u64 {
-    (streams as u64).saturating_mul(users as u64).max(1)
+/// Runs `resolve`, turning a panic inside it into
+/// [`IngestError::SolverPanic`]. Resolves write nothing to the engine, so
+/// a caught panic leaves the committed state as it was.
+fn catch_panic<T>(resolve: impl FnOnce() -> Result<T, IngestError>) -> Result<T, IngestError> {
+    panic::catch_unwind(AssertUnwindSafe(resolve)).unwrap_or_else(|payload| {
+        let message = (payload.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("opaque payload");
+        Err(IngestError::SolverPanic(message.to_owned()))
+    })
 }
 
 impl IngestEngine {
@@ -870,47 +852,30 @@ impl IngestEngine {
     /// Propagates materialization or solve failures ([`IngestError::Build`]
     /// / [`IngestError::Solve`]; neither occurs for well-formed instances).
     pub fn new(base: Instance, config: IngestConfig) -> Result<Self, IngestError> {
-        let model = Model::from_instance(&base);
-        let touched = Touched::everything(base.num_streams(), base.num_users());
+        let started = Instant::now();
         let mut engine = IngestEngine {
             current: base.clone(),
             assignment: Assignment::for_instance(&base),
-            cache: Vec::new(),
-            cached_shard_of_stream: vec![usize::MAX; base.num_streams()],
-            cached_shard_of_user: vec![usize::MAX; base.num_users()],
-            model,
+            cache: LeafCache::default(),
+            model: Model::from_instance(&base),
             pending: Vec::new(),
-            last: IngestOutcome {
-                updates_applied: 0,
-                num_shards: 0,
-                dirty_shards: 0,
-                resolved_shards: 0,
-                super_shards: 0,
-                dirty_supers: 0,
-                resolved_supers: 0,
-                full_resolve: true,
-                utility: 0.0,
-                upper_bound: 0.0,
-                gap_fraction: 0.0,
-                cut_edges: 0,
-                cut_mass: 0.0,
-                repaired_streams: 0,
-                degraded: false,
-                soft_tripped: false,
-                hard_tripped: false,
-                skipped_shards: 0,
-                stale: false,
-                stale_gap_fraction: 0.0,
-                deferred_full: false,
-            },
+            last: IngestOutcome::default(),
             metrics: IngestMetrics::default(),
             deferred_refresh: false,
+            #[cfg(test)]
+            panic_on_apply: None,
             base,
             config,
         };
+        let touched = Touched::everything(engine.base.num_streams(), engine.base.num_users());
         // The initial solve is never governed: a serving frontend needs a
         // complete certified bracket before it can degrade from one.
-        engine.resolve(touched, 0, Instant::now(), SolveBudget::unlimited())?;
+        let (current, tree) =
+            engine.resolve(&engine.model, &touched, started, SolveBudget::unlimited())?;
+        let Tree::Solved(tree) = tree else {
+            unreachable!("an unlimited budget never sheds")
+        };
+        engine.commit(current, *tree, 0, started);
         engine.metrics = IngestMetrics::default();
         Ok(engine)
     }
@@ -965,13 +930,6 @@ impl IngestEngine {
         Universe::of(&self.base)
     }
 
-    /// Structural validation of one update against the engine's universe:
-    /// unknown ids and invalid numbers are rejected here, stateful
-    /// validation (budget coverage) happens at apply time.
-    fn validate_structural(&self, update: &Update) -> Result<(), IngestError> {
-        self.universe().validate(update)
-    }
-
     /// Queues one update for the next [`apply`](Self::apply). Structural
     /// validation (unknown ids, invalid numbers) happens immediately;
     /// stateful validation (budget coverage) happens at apply time.
@@ -980,12 +938,7 @@ impl IngestEngine {
     ///
     /// Returns the structural [`IngestError`] without queuing anything.
     pub fn push(&mut self, update: Update) -> Result<(), IngestError> {
-        if let Err(e) = self.validate_structural(&update) {
-            self.metrics.rejected_updates += 1;
-            return Err(e);
-        }
-        self.pending.push(update);
-        Ok(())
+        self.push_batch([update]).map(drop)
     }
 
     /// Queues a whole batch atomically: either every update passes
@@ -1031,7 +984,7 @@ impl IngestEngine {
     ) -> Result<usize, IngestError> {
         let updates: Vec<Update> = updates.into_iter().collect();
         for update in &updates {
-            if let Err(e) = self.validate_structural(update) {
+            if let Err(e) = self.universe().validate(update) {
                 self.metrics.rejected_updates += 1;
                 return Err(e);
             }
@@ -1051,38 +1004,37 @@ impl IngestEngine {
     /// the global reconciliation passes, and returns the refreshed
     /// certificate.
     ///
-    /// On error (stateful validation or a solve failure) the committed
-    /// state is unchanged and the pending queue is retained for
-    /// inspection; [`clear_pending`](Self::clear_pending) discards it.
+    /// On error (stateful validation, a solve failure or a panic inside
+    /// the re-solve) the committed state is unchanged and the pending
+    /// queue is retained for inspection;
+    /// [`clear_pending`](Self::clear_pending) discards it.
     ///
     /// # Errors
     ///
     /// Returns the first [`IngestError`] encountered.
     pub fn apply(&mut self) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
-        let mut scratch = self.model.clone();
+        let mut model = self.model.clone();
         let mut touched = Touched::new(self.base.num_streams(), self.base.num_users());
-        for update in &self.pending {
-            if let Err(e) = scratch.apply(&self.base, update, &mut touched) {
-                self.metrics.rejected_batches += 1;
-                return Err(e);
+        let resolved = self
+            .pending
+            .iter()
+            .try_for_each(|update| model.apply(&self.base, update, &mut touched))
+            .and_then(|()| {
+                catch_panic(|| self.resolve(&model, &touched, started, self.config.budget))
+            });
+        match resolved {
+            Ok((current, Tree::Solved(tree))) => {
+                self.model = model;
+                let applied = std::mem::take(&mut self.pending).len();
+                Ok(self.commit(current, *tree, applied, started))
             }
-        }
-        let applied = self.pending.len();
-        let committed_model = std::mem::replace(&mut self.model, scratch);
-        match self.resolve(touched, applied, started, self.config.budget) {
-            Ok(Resolved::Committed(outcome)) => {
-                self.pending.clear();
-                self.record_apply(&outcome, started);
-                Ok(outcome)
-            }
-            Ok(Resolved::Shed { soft_tripped }) => {
+            Ok((_, Tree::Shed { soft_tripped })) => {
                 // A hard budget trip shed the apply: the committed state
                 // keeps serving as-is and the pending updates are retained
                 // for a retry. The returned outcome is the last committed
                 // bracket, marked stale — its certificate describes the
                 // *previous* instance, not the requested post-batch one.
-                self.model = committed_model;
                 let m = &mut self.metrics;
                 m.budget_soft_trips += u64::from(soft_tripped);
                 m.budget_hard_trips += 1;
@@ -1096,7 +1048,6 @@ impl IngestEngine {
                 Ok(self.last)
             }
             Err(e) => {
-                self.model = committed_model;
                 self.metrics.rejected_batches += 1;
                 Err(e)
             }
@@ -1104,21 +1055,21 @@ impl IngestEngine {
     }
 
     /// Forces a full re-solve of the committed state — every shard is
-    /// treated as dirty, nothing is reused from cache. Pending updates are
-    /// untouched (they still need an [`apply`](Self::apply)).
+    /// treated as dirty, nothing is reused from the memo. Pending updates
+    /// are untouched (they still need an [`apply`](Self::apply)).
     ///
     /// This is the graceful-maintenance entry point of a serving frontend:
     /// scheduled in the background (between request bursts), it refreshes
-    /// every cached shard solution and the certificate from first
+    /// every memoized shard solution and the certificate from first
     /// principles. By the engine's equivalence contract the committed
     /// state is already bit-identical to a from-scratch solve, so the
     /// committed assignment and bracket are unchanged — the value is the
-    /// rebuilt cache (and the differential reassurance itself).
+    /// rebuilt memo (and the differential reassurance itself).
     ///
     /// # Errors
     ///
-    /// Propagates materialization or solve failures; the committed state
-    /// is unchanged on error.
+    /// Propagates materialization or solve failures and panics inside the
+    /// re-solve; the committed state is unchanged on error.
     pub fn refresh_full(&mut self) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
         let touched = Touched::everything(self.base.num_streams(), self.base.num_users());
@@ -1128,16 +1079,12 @@ impl IngestEngine {
         // re-arms it).
         self.deferred_refresh = false;
         // Maintenance is never governed: it runs off the latency path, and
-        // it is how a degraded engine catches back up (stale cache entries
+        // it is how a degraded engine catches back up (stale memo entries
         // are rebuilt from fresh solves here).
-        match self.resolve(touched, 0, started, SolveBudget::unlimited()) {
-            Ok(Resolved::Committed(outcome)) => {
-                self.record_apply(&outcome, started);
-                Ok(outcome)
-            }
-            Ok(Resolved::Shed { .. }) => {
-                unreachable!("an unlimited budget never sheds")
-            }
+        let unlimited = SolveBudget::unlimited();
+        match catch_panic(|| self.resolve(&self.model, &touched, started, unlimited)) {
+            Ok((current, Tree::Solved(tree))) => Ok(self.commit(current, *tree, 0, started)),
+            Ok((_, Tree::Shed { .. })) => unreachable!("an unlimited budget never sheds"),
             Err(e) => {
                 self.metrics.rejected_batches += 1;
                 Err(e)
@@ -1146,8 +1093,8 @@ impl IngestEngine {
     }
 
     /// Whether governance deferred an escalated full re-solve
-    /// ([`DegradeAction::DeferFull`]) that background maintenance should
-    /// pick up: serving frontends call
+    /// ([`DeferFull`](crate::govern::DegradeAction::DeferFull)) that
+    /// background maintenance should pick up: serving frontends call
     /// [`refresh_full`](Self::refresh_full) at the next idle moment when
     /// this is `true` — [`AsyncIngest`](crate::AsyncIngest) does so when
     /// its epoch queue drains. Any refresh attempt clears it.
@@ -1156,10 +1103,52 @@ impl IngestEngine {
         self.deferred_refresh
     }
 
-    /// Folds one successful apply into the monotone counters.
-    fn record_apply(&mut self, outcome: &IngestOutcome, started: Instant) {
+    /// Commits one solved tree over `current`: reports the work it did,
+    /// rebuilds the leaf memo from its leaves, installs the new state and
+    /// folds the outcome into the monotone counters. The memo is rebuilt
+    /// only after the tree solve merged and reconciled: those passes are
+    /// sensitive to where the merged assignment's allocations live.
+    fn commit(
+        &mut self,
+        current: Instance,
+        tree: TreeSolve,
+        updates_applied: usize,
+        started: Instant,
+    ) -> IngestOutcome {
+        let count = |state| tree.leaves.iter().filter(|l| l.state == state).count();
+        let out = tree.outcome;
+        let outcome = IngestOutcome {
+            updates_applied,
+            num_shards: out.num_shards,
+            dirty_shards: tree.leaves.iter().filter(|l| l.missed).count(),
+            resolved_shards: count(LeafState::Solved),
+            super_shards: tree.supers,
+            dirty_supers: tree.dirty_supers,
+            resolved_supers: tree.resolved_supers,
+            full_resolve: tree.full_resolve,
+            utility: out.utility,
+            upper_bound: out.upper_bound,
+            gap_fraction: out.gap_fraction,
+            cut_edges: out.cut_edges,
+            cut_mass: out.cut_mass,
+            repaired_streams: out.repaired_streams,
+            degraded: tree.soft_tripped || tree.hard_tripped || tree.deferred_full,
+            soft_tripped: tree.soft_tripped,
+            hard_tripped: tree.hard_tripped,
+            skipped_shards: count(LeafState::Skipped),
+            stale: false,
+            stale_gap_fraction: fraction_of(tree.skipped_bound, out.upper_bound),
+            deferred_full: tree.deferred_full,
+        };
+        self.metrics.inner_cache_hits += count(LeafState::Reused) as u64;
+        self.cache = LeafCache::new(tree.leaves, &current);
+        self.current = current;
+        self.assignment = out.assignment;
+        self.last = outcome;
+        self.deferred_refresh |= outcome.deferred_full;
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let m = &mut self.metrics;
+        m.inner_cache_misses += outcome.resolved_shards as u64;
         m.applies += 1;
         m.updates_applied += outcome.updates_applied as u64;
         m.full_resolves += u64::from(outcome.full_resolve);
@@ -1173,6 +1162,7 @@ impl IngestEngine {
         m.deferred_full_resolves += u64::from(outcome.deferred_full);
         m.last_apply_nanos = nanos;
         m.total_apply_nanos = m.total_apply_nanos.saturating_add(nanos);
+        outcome
     }
 
     /// Runs the §5 online allocator over the pending updates: warm-started
@@ -1214,324 +1204,43 @@ impl IngestEngine {
         }
     }
 
-    /// The incremental core, one path at either tree depth: refreshes the
-    /// root partition, matches its children against the cache, re-solves
-    /// the leaves that changed, and re-runs the per-child and root tails.
-    /// Commits `current`, `assignment`, the cache and `last` on success
-    /// (see the module docs for the equivalence argument).
+    /// The incremental core: materializes `model` and runs the tree solve
+    /// of [`solve_sharded`] over it with the leaf memo. Writes nothing to
+    /// the engine — [`Self::commit`] installs the result — so an error or a
+    /// panic anywhere in here leaves the committed state intact.
     ///
-    /// The root ([`HierarchicalSharding`]) is built by the function
-    /// [`solve_sharded`] uses. A child is *clean* when its membership, its
-    /// content (no touched member) and its water-filled budget share are
-    /// unchanged: its cached solution, bound and counters are reused
-    /// wholesale. Dirty children are re-planned, and inside them a leaf
-    /// whose `(global membership, untouched content, share)` key matches a
-    /// cached leaf skips its solve — the key fully determines the leaf's
-    /// instance (names are labels), so reuse is bit-exact even when the
-    /// child's own share moved. At depth 1 a child is its own leaf, so only
-    /// the first kind of reuse applies. Every other leaf is solved through
-    /// one governed [`solve_batch`] loop.
+    /// A leaf reuses its memo entry when the entry has the leaf's global
+    /// membership, is not stale, was solved under the same share and no
+    /// member was touched: that key fully determines the leaf's instance
+    /// (names are labels), so the reuse is bit-exact. Every other leaf is
+    /// solved through the tree solve's one governed loop.
     ///
     /// [`solve_sharded`]: crate::algo::shard::solve_sharded
-    /// [`solve_batch`]: crate::algo::batch::solve_batch
     fn resolve(
-        &mut self,
-        touched: Touched,
-        updates_applied: usize,
+        &self,
+        model: &Model,
+        touched: &Touched,
         started: Instant,
         budget: SolveBudget,
-    ) -> Result<Resolved, IngestError> {
-        let config = self.config.shard;
-        let threads = config.threads;
-        let current = self.model.materialize(&self.base)?;
-
-        // Match every child of the fresh root against the cached partition
-        // (by first member). `candidate` keeps the raw match even when the
-        // child is dirty: leaf reuse and budget-skip fallbacks look inside
-        // it. A clean child keeps its cached bound unless a shared budget
-        // was touched (the bound depends on the full budgets).
-        let mut candidate: Vec<Option<usize>> = Vec::new();
-        let mut matched: Vec<Option<usize>> = Vec::new();
-        let root = HierarchicalSharding::with_bounds(&current, &config, |part, k| {
-            let shard = &part.shards[k];
-            let j = shard
-                .streams
-                .first()
-                .map(|s| self.cached_shard_of_stream[s.index()])
-                .or_else(|| {
-                    shard
-                        .users
-                        .first()
-                        .map(|u| self.cached_shard_of_user[u.index()])
-                })
-                .filter(|&j| j < self.cache.len());
-            let clean = j.filter(|&j| {
-                let entry = &self.cache[j];
-                !entry.stale
-                    && entry.streams == shard.streams
-                    && entry.users == shard.users
-                    && !touched.touches(shard)
-            });
-            candidate.push(j);
-            matched.push(clean);
-            match clean {
-                Some(j) if !touched.budgets => self.cache[j].bound,
-                _ => shard_utility_bound(&current, part, k),
-            }
-        });
-        let n = root.num_supers();
-
-        // Dirty = content changed, or the water-fill moved the child's
-        // budget share (ripple from a touched child or budget).
-        let dirty: Vec<bool> = (0..n)
-            .map(|k| matched[k].is_none_or(|j| self.cache[j].share != root.shares[k]))
-            .collect();
-        let dirty_children = dirty.iter().filter(|&&d| d).count();
-        let upper_bound = root.upper_bound(&current);
-        let dirty_fraction = if n > 0 {
-            dirty_children as f64 / n as f64
-        } else {
-            0.0
+    ) -> Result<(Instance, Tree), IngestError> {
+        #[cfg(test)]
+        if self.panic_on_apply == Some(self.metrics.applies + self.metrics.rejected_batches + 1) {
+            panic!("injected solver fault");
+        }
+        let current = model.materialize(&self.base)?;
+        let memo = MemoView {
+            cache: &self.cache,
+            touched,
         };
-        let mut full_resolve = dirty_fraction > self.config.max_dirty_fraction
-            || fraction_of(root.supers.cut_mass, upper_bound) > self.config.max_cut_fraction;
-        let mut deferred_full = false;
-        if full_resolve {
-            // DeferFull rung of the ladder: when the escalated full
-            // re-solve (every child's streams × users) cannot fit the
-            // budget, stay incremental and ask background maintenance to
-            // catch up instead of blowing the latency target on this batch.
-            let full_work: u64 = root
-                .supers
-                .shards
-                .iter()
-                .map(|s| work_units(s.streams.len(), s.users.len()))
-                .sum();
-            let elapsed = started.elapsed();
-            if budget.trips_soft(elapsed, 0, full_work) || budget.trips_hard(elapsed, 0, full_work)
-            {
-                full_resolve = false;
-                deferred_full = true;
-            }
-        }
-        // Escalation kills reuse at every level: every child is re-planned
-        // and every leaf re-solved.
-        let dirty_idx: Vec<usize> = (0..n).filter(|&k| full_resolve || dirty[k]).collect();
-        let children = root.plan(&current, &config, &dirty_idx);
-
-        // Leaf slots of the dirty children: cache hits are filled here,
-        // misses are queued for the solve loop. (At depth 1 the candidate
-        // is its own only leaf, which a dirty child never matches.)
-        let mut leaves: Vec<Vec<CacheEntry>> = Vec::with_capacity(children.len());
-        let mut misses: Vec<(usize, usize)> = Vec::new();
-        let mut dirty_shards = 0usize;
-        let mut leaf_hits = 0u64;
-        for (p, child) in children.iter().enumerate() {
-            let mut slots = Vec::with_capacity(child.num_leaves());
-            for j in 0..child.num_leaves() {
-                let (shard, share, bound) = child.leaf(j);
-                let hit = candidate[child.k].filter(|_| !full_resolve).and_then(|c| {
-                    self.cache[c].leaves().iter().find(|e| {
-                        !e.stale
-                            && e.share == share
-                            && e.streams == shard.streams
-                            && e.users == shard.users
-                            && !touched.touches(&shard)
-                    })
-                });
-                let local = match hit {
-                    Some(e) => {
-                        leaf_hits += 1;
-                        e.local.clone()
-                    }
-                    None => {
-                        misses.push((p, j));
-                        dirty_shards += usize::from(dirty[child.k]);
-                        Assignment::new(shard.users.len()) // filled by the solve loop
-                    }
-                };
-                slots.push(CacheEntry::leaf(shard, share.to_vec(), bound, local));
-            }
-            leaves.push(slots);
-        }
-        let subs: Vec<Instance> =
-            mmd_par::parallel_map(threads, &misses, |_, &(p, j)| children[p].build_leaf(j));
-
-        // The one governed solve loop: leaves solve in worker-sized chunks
-        // with the budget checked at each chunk boundary (never
-        // mid-kernel); leaf solves are independent, so chunking cannot
-        // change any result. An unlimited budget never trips, and one chunk
-        // spans every leaf: a single solve_batch call.
-        let chunk = if budget.is_unlimited() {
-            subs.len()
-        } else {
-            mmd_par::resolve(threads)
-        }
-        .max(1);
-        let mut soft_tripped = false;
-        let mut hard_tripped = false;
-        let mut spent = 0u64;
-        let mut skipped_shards = 0usize;
-        for (batch, slots) in subs.chunks(chunk).zip(misses.chunks(chunk)) {
-            let next_work: u64 = batch
-                .iter()
-                .map(|s| work_units(s.num_streams(), s.num_users()))
-                .sum();
-            let elapsed = started.elapsed();
-            if !hard_tripped && budget.trips_hard(elapsed, spent, next_work) {
-                hard_tripped = true;
-                match budget.hard_action {
-                    DegradeAction::ShedToCache => return Ok(Resolved::Shed { soft_tripped }),
-                    DegradeAction::DeferFull => deferred_full = true,
-                    DegradeAction::WidenGap => {}
-                }
-            }
-            if !soft_tripped && !hard_tripped && budget.trips_soft(elapsed, spent, next_work) {
-                soft_tripped = true;
-            }
-            if soft_tripped || hard_tripped {
-                // Budget-skipped leaves: merge the membership-identical
-                // cached leaf's stale local if one exists (index-safe, and
-                // feasibility-safe since the reconciliation passes re-enforce
-                // the real budgets), else the empty local already in the
-                // slot. The child's fresh bound stays in the certificate,
-                // so the bracket is sound either way.
-                for &(p, j) in slots {
-                    let slot = &mut leaves[p][j];
-                    slot.stale = true;
-                    let fallback = candidate[children[p].k].and_then(|c| {
-                        self.cache[c]
-                            .leaves()
-                            .iter()
-                            .find(|e| e.streams == slot.streams && e.users == slot.users)
-                    });
-                    if let Some(e) = fallback {
-                        slot.local = e.local.clone();
-                    }
-                    skipped_shards += 1;
-                }
-                continue;
-            }
-            let results = solve_batch(batch, &config.mmd, threads);
-            for (&(p, j), outcome) in slots.iter().zip(results) {
-                leaves[p][j].local = outcome?.assignment;
-            }
-            spent = spent.saturating_add(next_work);
-        }
-
-        // Per-child tails (merge the leaves, and at depth 2 repair the
-        // share budgets and fill), fanned out like the solves.
-        let finished: Vec<(Assignment, usize)> =
-            mmd_par::parallel_map(threads, &children, |p, child| {
-                child.finish(leaves[p].iter().map(|e| &e.local), config.global_fill)
-            });
-
-        // Merge the children's solutions in child order (the order
-        // solve_sharded merges in) and reconcile, before the cache rebuild
-        // below allocates: the reconciliation passes over the merged
-        // assignment are sensitive to where its allocations live.
-        let mut merged = Assignment::for_instance(&current);
-        let mut finished_locals = finished.iter().map(|(local, _)| local);
-        for (k, shard) in root.supers.shards.iter().enumerate() {
-            let local = if full_resolve || dirty[k] {
-                finished_locals
-                    .next()
-                    .expect("one finished tail per dirty child")
-            } else {
-                &self.cache[matched[k].expect("clean children are matched")].local
-            };
-            merge_local(&mut merged, shard, local);
-        }
-        let mut repaired_streams = reconcile(&current, &mut merged, config.global_fill);
-        let utility = merged.utility(&current);
-
-        // Rebuild the cache: dirty children from their fresh plans, clean
-        // ones wholesale.
-        let mut num_shards = 0usize;
-        let mut cut_edges = root.supers.cut.len();
-        let mut cut_mass = root.supers.cut_mass;
-        let mut skipped_bound = 0.0f64;
-        let mut cache: Vec<CacheEntry> = Vec::with_capacity(n);
-        let mut planned = children.iter().zip(leaves).zip(finished);
-        for k in 0..n {
-            let entry = if full_resolve || dirty[k] {
-                let ((child, leaves), (local, repaired)) =
-                    planned.next().expect("one plan per dirty child");
-                let (child_cut_edges, child_cut_mass) = child.inner_cut();
-                let stale = leaves.iter().any(|e| e.stale);
-                if stale {
-                    skipped_bound += root.bounds[k];
-                }
-                let shard = &root.supers.shards[k];
-                CacheEntry {
-                    streams: shard.streams.clone(),
-                    users: shard.users.clone(),
-                    share: root.shares[k].clone(),
-                    bound: root.bounds[k],
-                    local,
-                    stale,
-                    num_leaves: leaves.len(),
-                    cut_edges: child_cut_edges,
-                    cut_mass: child_cut_mass,
-                    repaired,
-                    // A leaf child is its own leaf; its slot is not kept.
-                    children: if root.two_level { leaves } else { Vec::new() },
-                }
-            } else {
-                let j = matched[k].expect("clean children are matched");
-                let mut entry = self.cache[j].clone();
-                entry.share = root.shares[k].clone();
-                entry.bound = root.bounds[k];
-                entry
-            };
-            num_shards += entry.num_leaves;
-            cut_edges += entry.cut_edges;
-            cut_mass += entry.cut_mass;
-            repaired_streams += entry.repaired;
-            cache.push(entry);
-        }
-
-        // Commit. The super-level counters describe depth 2 only.
-        let resolved_shards = misses.len() - skipped_shards;
-        let two_level = root.two_level;
-        let supers = |count: usize| if two_level { count } else { 0 };
-        if two_level {
-            self.metrics.inner_cache_hits += leaf_hits;
-            self.metrics.inner_cache_misses += resolved_shards as u64;
-        }
-        self.cache = cache;
-        self.cached_shard_of_stream = root.supers.shard_of_stream;
-        self.cached_shard_of_user = root.supers.shard_of_user;
-        if deferred_full {
-            self.deferred_refresh = true;
-        }
-        let outcome = IngestOutcome {
-            updates_applied,
-            num_shards,
-            dirty_shards,
-            resolved_shards,
-            super_shards: supers(n),
-            dirty_supers: supers(dirty_children),
-            resolved_supers: supers(dirty_idx.len()),
-            full_resolve,
-            utility,
-            upper_bound,
-            gap_fraction: fraction_of(upper_bound - utility, upper_bound),
-            cut_edges,
-            cut_mass,
-            repaired_streams,
-            degraded: soft_tripped || hard_tripped || deferred_full,
-            soft_tripped,
-            hard_tripped,
-            skipped_shards,
-            stale: false,
-            stale_gap_fraction: fraction_of(skipped_bound, upper_bound),
-            deferred_full,
+        let governance = Governance {
+            memo: &memo,
+            max_dirty_fraction: self.config.max_dirty_fraction,
+            max_cut_fraction: self.config.max_cut_fraction,
+            budget,
+            started,
         };
-        self.current = current;
-        self.assignment = merged;
-        self.last = outcome;
-        Ok(Resolved::Committed(outcome))
+        let tree = solve_tree(&current, &self.config.shard, Some(&governance))?;
+        Ok((current, tree))
     }
 }
 
@@ -1669,7 +1378,7 @@ impl IngestSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::shard::solve_sharded;
+    use crate::algo::shard::{solve_sharded, HierarchicalSharding};
     use crate::num::approx_eq;
 
     fn sid(i: usize) -> StreamId {
@@ -1727,10 +1436,9 @@ mod tests {
 
         eng.push(Update::StreamDeparture(sid(0))).unwrap();
         let out = eng.apply().unwrap();
-        // The coarse partition is cached: only the departed stream's
-        // super-shard and the residual super-shard the stream moved to are
-        // re-planned; the other communities reuse their finished super
-        // solutions wholesale.
+        // Only the departed stream's super-shard and the residual
+        // super-shard the stream moved to hold leaves that miss the memo;
+        // the other communities' leaves are memo hits.
         assert!(
             !out.full_resolve,
             "2/4 dirty supers is at, not above, the trigger"
@@ -1743,7 +1451,7 @@ mod tests {
         assert_matches_scratch(&eng);
 
         // Re-arrival restores the original coarse partition; only the
-        // re-merged super-shard re-plans.
+        // re-merged super-shard re-solves a leaf.
         eng.push(Update::StreamArrival(sid(0))).unwrap();
         let back = eng.apply().unwrap();
         assert!(!back.full_resolve);
@@ -2146,5 +1854,126 @@ mod tests {
         assert_eq!(eng.utility(), 0.0);
         let out = eng.apply().unwrap();
         assert_eq!(out.gap_fraction, 0.0);
+    }
+
+    /// Two super-shards under one contended budget. Super A (streams 0–3)
+    /// is one component whose weak `u0 → s1` link the inner cap 3 cuts,
+    /// leaving the leaves `{s0; u0}` and `{s1, s2, s3; u1}`; super B
+    /// (streams 4–7) is one user's catalog.
+    fn two_contended_supers() -> Instance {
+        let mut b = Instance::builder("2s").server_budgets(vec![4.0]);
+        let s: Vec<_> = (0..8).map(|_| b.add_stream(vec![1.0])).collect();
+        let u0 = b.add_user(f64::INFINITY, vec![]);
+        let u1 = b.add_user(f64::INFINITY, vec![]);
+        let u2 = b.add_user(f64::INFINITY, vec![]);
+        b.add_interest(u0, s[0], 20.0, vec![]).unwrap();
+        b.add_interest(u0, s[1], 0.1, vec![]).unwrap();
+        for (i, w) in [5.0, 4.0, 3.0].into_iter().enumerate() {
+            b.add_interest(u1, s[1 + i], w, vec![]).unwrap();
+        }
+        for (i, w) in [3.0, 2.5, 2.0, 1.5].into_iter().enumerate() {
+            b.add_interest(u2, s[4 + i], w, vec![]).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_leaf_is_a_memo_hit_when_only_its_super_shards_share_moved() {
+        let config = IngestConfig {
+            shard: ShardConfig {
+                max_streams: 3,
+                super_shards: 2,
+                ..ShardConfig::default()
+            },
+            ..IngestConfig::default()
+        };
+        let mut eng = IngestEngine::new(two_contended_supers(), config).unwrap();
+        let in_a = |l: &&Leaf| l.shard.streams.iter().all(|s| s.index() < 4);
+        let before: Vec<Leaf> = eng.cache.leaves.iter().filter(in_a).cloned().collect();
+        assert_eq!(before.len(), 2, "super A holds two leaves");
+        let share_of_a = |eng: &IngestEngine| {
+            let root = HierarchicalSharding::new(eng.current_instance(), &config.shard);
+            root.shares[root.supers.shard_of_stream[0]].clone()
+        };
+        let a_share = share_of_a(&eng);
+
+        // Only super B is touched, but its bound moves the root water-fill.
+        eng.push(Update::InterestChange {
+            user: uid(2),
+            stream: sid(4),
+            weight: 4.0,
+        })
+        .unwrap();
+        let out = eng.apply().unwrap();
+        assert_ne!(share_of_a(&eng), a_share, "super A's share moved");
+        assert_eq!((out.dirty_supers, out.resolved_supers), (1, 1));
+        let after: Vec<&Leaf> = eng.cache.leaves.iter().filter(in_a).collect();
+        for (old, new) in before.iter().zip(after) {
+            assert_eq!(new.shard, old.shard);
+            assert_eq!(new.share, old.share, "the leaf's own share did not move");
+            assert_eq!(new.state, LeafState::Reused);
+        }
+        // A's two leaves, and B's untouched `{s7}` leaf, whose saturated
+        // share sits at its demand.
+        assert_eq!(eng.metrics().inner_cache_hits, 3);
+        assert_matches_scratch(&eng);
+    }
+
+    /// Two super-shards of three 2-stream leaves each, uncontended: the
+    /// weak `u_i → s_{2i+2}` links connect a super-shard and the inner cap
+    /// 2 cuts them.
+    fn two_chained_supers() -> Instance {
+        let mut b = Instance::builder("chains").server_budgets(vec![100.0]);
+        let s: Vec<_> = (0..12).map(|_| b.add_stream(vec![1.0])).collect();
+        for i in 0..6 {
+            let u = b.add_user(f64::INFINITY, vec![]);
+            b.add_interest(u, s[2 * i], 5.0, vec![]).unwrap();
+            b.add_interest(u, s[2 * i + 1], 4.0, vec![]).unwrap();
+            if i % 3 != 2 {
+                b.add_interest(u, s[2 * i + 2], 0.1, vec![]).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn two_level_escalation_counts_missed_leaves_not_dirty_supers() {
+        let replay = |max_dirty_fraction: f64| {
+            let config = IngestConfig {
+                shard: ShardConfig {
+                    max_streams: 2,
+                    super_shards: 2,
+                    ..ShardConfig::default()
+                },
+                max_dirty_fraction,
+                ..IngestConfig::default()
+            };
+            let mut eng = IngestEngine::new(two_chained_supers(), config).unwrap();
+            assert_eq!(eng.last_outcome().num_shards, 6);
+            assert_eq!(eng.last_outcome().super_shards, 2);
+            // One leaf in each super-shard: every super-shard is dirty,
+            // but only 2 of the 6 leaves miss the memo.
+            for (user, stream) in [(0, 0), (3, 6)] {
+                eng.push(Update::InterestChange {
+                    user: uid(user),
+                    stream: sid(stream),
+                    weight: 6.0,
+                })
+                .unwrap();
+            }
+            let out = eng.apply().unwrap();
+            assert_eq!((out.dirty_shards, out.dirty_supers), (2, 2));
+            assert_matches_scratch(&eng);
+            out
+        };
+        // 2/6 missed leaves stay under 0.5 although 2/2 supers are dirty.
+        let incremental = replay(0.5);
+        assert!(!incremental.full_resolve);
+        assert_eq!(incremental.resolved_shards, 2);
+        // ... and escalate above 0.3.
+        let full = replay(0.3);
+        assert!(full.full_resolve);
+        assert_eq!(full.resolved_shards, 6);
+        assert_eq!(full.resolved_supers, 2);
     }
 }

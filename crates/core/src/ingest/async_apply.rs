@@ -531,6 +531,52 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_apply_is_an_error_and_later_epochs_commit() {
+        let mut engine = IngestEngine::new(small_instance(), IngestConfig::default()).expect("e");
+        engine.panic_on_apply = Some(2);
+        let ingest = Arc::new(AsyncIngest::new(engine));
+        let epochs: Vec<u64> = [
+            Update::StreamDeparture(StreamId::new(0)),
+            Update::StreamDeparture(StreamId::new(1)),
+            Update::StreamArrival(StreamId::new(0)),
+        ]
+        .into_iter()
+        .map(|update| ingest.apply_async(vec![update]).expect("submit"))
+        .collect();
+        // Wait on another thread, so a wedged solver fails the test instead
+        // of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let ingest = Arc::clone(&ingest);
+            std::thread::spawn(move || {
+                let outcomes: Vec<_> = epochs.iter().map(|&e| ingest.wait(e)).collect();
+                tx.send(outcomes).expect("receiver alive");
+            })
+        };
+        let outcomes = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicking apply must not wedge the solver");
+        waiter.join().expect("waiter thread");
+        assert!(outcomes[0].is_ok());
+        let err = outcomes[1].as_ref().expect_err("epoch 2 panicked");
+        assert!(matches!(**err, IngestError::SolverPanic(ref m) if m.contains("injected")));
+        assert!(outcomes[2].is_ok(), "epoch 3 commits after the panic");
+
+        let engine = Arc::into_inner(ingest).expect("sole owner").shutdown();
+        assert_eq!(engine.metrics().rejected_batches, 1);
+        assert_eq!(engine.num_live(), 4, "epoch 2's departure never applied");
+        let scratch =
+            crate::algo::shard::solve_sharded(engine.current_instance(), &engine.config().shard)
+                .expect("scratch solve");
+        assert_eq!(engine.assignment(), &scratch.assignment);
+        assert_eq!(engine.utility().to_bits(), scratch.utility.to_bits());
+        assert_eq!(
+            engine.last_outcome().upper_bound.to_bits(),
+            scratch.upper_bound.to_bits()
+        );
+    }
+
+    #[test]
     fn drop_drains_queued_epochs() {
         let instance = small_instance();
         let config = IngestConfig::default();

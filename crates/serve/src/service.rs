@@ -109,7 +109,9 @@ fn error_code(e: &IngestError) -> ErrorCode {
         | IngestError::InvalidWeight { .. }
         | IngestError::InvalidBudget { .. } => ErrorCode::Invalid,
         IngestError::CostExceedsBudget { .. } => ErrorCode::Rejected,
-        IngestError::Build(_) | IngestError::Solve(_) => ErrorCode::Internal,
+        IngestError::Build(_) | IngestError::Solve(_) | IngestError::SolverPanic(_) => {
+            ErrorCode::Internal
+        }
         // An apply whose outcome aged out of the async retention window:
         // the epoch was processed, only the record is gone.
         IngestError::OutcomeExpired { .. } => ErrorCode::Unavailable,

@@ -4,13 +4,14 @@
 //! the same configuration — the single-level equivalence contract of
 //! `tests/ingest_churn.rs`, extended to the coarse partition.
 //!
-//! On top of bit-identity the suite pins what the refactor bought: on
+//! On top of bit-identity the suite pins what the leaf memo buys: on
 //! low-churn traces the two-level engine must stop escalating to
-//! `full_resolve`, reuse whole super-shards, and hit the (super, inner)
-//! cache inside dirty super-shards. The `#[ignore]`d web-100k soak is the
-//! CI `web-churn` job's long-haul run: a 10k-update drift trace through
-//! the asynchronous backend at `super_shards = 4`, diffed against scratch
-//! every few batches and at the end (run with `--include-ignored`).
+//! `full_resolve`, leave some super-shards without a re-solved inner
+//! shard, and serve untouched inner shards from the memo. The
+//! `#[ignore]`d web-100k soak is the CI `web-churn` job's long-haul run: a
+//! 10k-update drift trace through the asynchronous backend at
+//! `super_shards = 4`, diffed against scratch every few batches and at the
+//! end (run with `--include-ignored`).
 
 use mmd::core::algo::shard::{solve_sharded, ShardConfig};
 use mmd::core::ingest::{IngestConfig, IngestEngine, IngestOutcome};
@@ -175,15 +176,15 @@ fn two_level_outcomes_are_bit_identical_across_thread_counts() {
 }
 
 /// The acceptance criterion in miniature: `super_shards > 1` low-churn
-/// batches stay incremental — no blanket `full_resolve`, whole
-/// super-shards reused, and inner solves inside dirty super-shards served
-/// from the (super, inner) cache.
+/// batches stay incremental — no blanket `full_resolve`, some super-shards
+/// re-solve no inner shard, and untouched inner shards are served from
+/// the leaf memo.
 #[test]
 fn low_churn_batches_stay_incremental_at_both_levels() {
     // Inner cap 3 splits each 6-stream cluster (its own super-shard: the
     // partition never merges disjoint components) into two inner shards,
     // so a drift update dirties one super-shard but usually touches only
-    // one of its halves — the untouched half must come from the cache.
+    // one of its halves — the untouched half must come from the memo.
     let inst = ClusteredConfig::decomposable(9, 6, 4).generate(5);
     let trace = ChurnConfig::low(48).generate(&inst, 9);
     let mut engine = IngestEngine::new(inst, config(3, 3, 2)).unwrap();
@@ -203,13 +204,13 @@ fn low_churn_batches_stay_incremental_at_both_levels() {
     let m = *engine.metrics();
     assert!(
         m.resolved_supers < m.super_slots,
-        "some super-shards must be reused wholesale ({}/{} slots re-solved)",
+        "some super-shards must re-solve no inner shard ({}/{} slots re-solved)",
         m.resolved_supers,
         m.super_slots
     );
     assert!(
         m.inner_cache_hits > 0,
-        "dirty super-shards must reuse untouched inner solves"
+        "untouched inner shards must come from the leaf memo"
     );
     assert!(m.dirty_super_fraction() < 1.0);
     assert_matches_scratch(&engine, "low-churn final");
@@ -250,13 +251,12 @@ fn assert_outcomes_match(sync: &[IngestOutcome], async_: &[IngestOutcome], conte
 #[ignore = "soak: run explicitly (CI web-churn step)"]
 fn soak_web100k_two_level_async_churn() {
     // Amply provisioned budget: water-fill shares demand-cap, so they
-    // are stable under pure utility drift and the (super, inner) cache
-    // can actually serve untouched inner shards. Escalation gates are
-    // opened — with 4 coarse super-shards any 256-update batch dirties
-    // all of them, and the coarse cut fraction of the connected Zipf
-    // graph (~0.35) is static, so both default triggers would force a
-    // full re-solve on every batch regardless of churn. Escalation is a
-    // pure work heuristic (the anchors below hold either way).
+    // are stable under pure utility drift and the leaf memo can actually
+    // serve untouched inner shards. Escalation gates are opened — the
+    // coarse cut fraction of the connected Zipf graph (~0.35) is static,
+    // so the default cut trigger would force a full re-solve on every
+    // batch regardless of churn. Escalation is a pure work heuristic (the
+    // anchors below hold either way).
     let inst = WebConfig {
         budget_fraction: 1.5,
         ..WebConfig::scaled(100_000)
@@ -292,7 +292,7 @@ fn soak_web100k_two_level_async_churn() {
     let m = *engine.metrics();
     assert!(
         m.inner_cache_hits > 0,
-        "web drift churn must serve untouched inner shards from the cache"
+        "web drift churn must serve untouched inner shards from the memo"
     );
     assert!(
         sync_outcomes
