@@ -985,7 +985,9 @@ fn merge_local(merged: &mut Assignment, shard: &Shard, local: &Assignment) {
 
 /// The reconciliation tail every merge runs: the budget repair pass, then
 /// (when the repair left the assignment feasible) a [`residual_fill`].
-/// Returns the number of streams the repair dropped.
+/// Returns the number of streams the repair dropped. Each drop costs one
+/// scan of the range plus a rescore of the streams it touched (see
+/// [`repair_budgets`]), not a rescan of every range stream's audience.
 fn reconcile(instance: &Instance, merged: &mut Assignment) -> usize {
     let repaired = repair_budgets(instance, merged);
     if merged.check_feasible(instance).is_ok() {
@@ -1390,57 +1392,61 @@ pub fn solve_sharded(
 /// Returns the number of streams dropped. User capacities are never
 /// violated by shard merges (users are never split across shards), so only
 /// the server side needs repair.
+///
+/// Selection is two-tier: a stream costing into a violated zero budget must
+/// go whatever its loss (tier 0, ordered by loss); every other stream is
+/// ordered by loss per unit of violating pressure (tier 1). Ties go to the
+/// smallest id: the range is scanned in ascending order and only a strictly
+/// smaller `(tier, score)` replaces the incumbent.
+///
+/// # Cost
+///
+/// Each drop costs one O(|range|) selection scan, the per-measure
+/// [`Assignment::server_cost`] sums, and a rescore of only the streams the
+/// drop touched. Two things are cached across drops within one call:
+///
+/// - every user's raw utility `Σ_{S ∈ A(u)} w_u(S)`, recomputed with
+///   [`Assignment::user_raw_utility`] only for the users that lost the
+///   dropped stream;
+/// - every range stream's `(tier, score)`. A stream's score reads only the
+///   violated-measure set and the raw utilities of the users still
+///   receiving it, so a drop marks dirty exactly the streams still assigned
+///   to the users that lost it, and a change of the violated set marks
+///   every stream dirty.
+///
+/// A dirty score is recomputed by the same arithmetic from the same inputs,
+/// so every cached value has the bits a full recompute would give, and the
+/// linear scan (no heap, whose total order would treat ties and `-0.0`
+/// differently) picks exactly the stream the full-recompute loop picks. The
+/// violated set is re-derived from the full cost sums after each drop, so no
+/// running float total can flip a boundary `approx_le` either.
 pub fn repair_budgets(instance: &Instance, assignment: &mut Assignment) -> usize {
-    let m = instance.num_measures();
+    let violated_measures = |assignment: &Assignment| -> Vec<usize> {
+        (0..instance.num_measures())
+            .filter(|&i| !num::approx_le(assignment.server_cost(i, instance), instance.budget(i)))
+            .collect()
+    };
+    let mut violated = violated_measures(assignment);
+    if violated.is_empty() {
+        return 0;
+    }
+    let mut raw: Vec<f64> = instance
+        .users()
+        .map(|u| assignment.user_raw_utility(u, instance))
+        .collect();
+    // `None` marks a stream whose drop relieves no violated measure.
+    let mut score: Vec<Option<(u8, f64)>> = vec![None; instance.num_streams()];
+    let mut dirty = vec![true; instance.num_streams()];
     let mut dropped = 0usize;
     loop {
-        let violated: Vec<usize> = (0..m)
-            .filter(|&i| !num::approx_le(assignment.server_cost(i, instance), instance.budget(i)))
-            .collect();
-        if violated.is_empty() {
-            return dropped;
-        }
-        let raw: Vec<f64> = instance
-            .users()
-            .map(|u| assignment.user_raw_utility(u, instance))
-            .collect();
-        // Two-tier selection: streams costing into a zero budget must go
-        // regardless of loss (tier 0, ordered by loss), everything else is
-        // ordered by loss per unit of violating pressure (tier 1). Ties go
-        // to the smallest id via the ascending range iteration.
         let mut best: Option<((u8, f64), StreamId)> = None;
-        for s in assignment.range().collect::<Vec<_>>() {
-            let pressure: f64 = violated
-                .iter()
-                .map(|&i| {
-                    let b = instance.budget(i);
-                    if b > 0.0 {
-                        instance.cost(s, i) / b
-                    } else if instance.cost(s, i) > 0.0 {
-                        f64::INFINITY
-                    } else {
-                        0.0
-                    }
-                })
-                .sum();
-            if pressure <= 0.0 {
-                continue; // dropping this stream cannot relieve any violation
+        for s in assignment.range() {
+            if dirty[s.index()] {
+                score[s.index()] = repair_score(instance, assignment, &raw, &violated, s);
+                dirty[s.index()] = false;
             }
-            let mut loss = 0.0f64;
-            let caps = instance.user_caps();
-            // Exact audience pairs: repair decisions and their losses stay
-            // exact in every lane mode.
-            for &(u, w) in instance.audience(s) {
-                if assignment.contains(u, s) {
-                    let cap = caps[u.index()];
-                    let r = raw[u.index()];
-                    loss += r.min(cap) - (r - w).min(cap);
-                }
-            }
-            let score = if pressure.is_infinite() {
-                (0u8, loss)
-            } else {
-                (1u8, loss / pressure)
+            let Some(score) = score[s.index()] else {
+                continue;
             };
             let better =
                 best.is_none_or(|(bs, _)| score.0 < bs.0 || (score.0 == bs.0 && score.1 < bs.1));
@@ -1454,10 +1460,69 @@ pub fn repair_budgets(instance: &Instance, assignment: &mut Assignment) -> usize
             return dropped;
         };
         for &u in instance.audience_users(s) {
-            assignment.unassign(UserId::new(u as usize), s);
+            let u = UserId::new(u as usize);
+            if assignment.unassign(u, s) {
+                raw[u.index()] = assignment.user_raw_utility(u, instance);
+                for t in assignment.streams_of(u) {
+                    dirty[t.index()] = true;
+                }
+            }
         }
         dropped += 1;
+        let now = violated_measures(assignment);
+        if now.is_empty() {
+            return dropped;
+        }
+        if now != violated {
+            violated = now;
+            dirty.fill(true);
+        }
     }
+}
+
+/// One stream's [`repair_budgets`] key under the `violated` measures and
+/// the users' current raw utilities: `(0, loss)` when it costs into a
+/// violated zero budget, `(1, loss / pressure)` otherwise, and `None` when
+/// dropping it relieves no violated measure.
+fn repair_score(
+    instance: &Instance,
+    assignment: &Assignment,
+    raw: &[f64],
+    violated: &[usize],
+    s: StreamId,
+) -> Option<(u8, f64)> {
+    let pressure: f64 = violated
+        .iter()
+        .map(|&i| {
+            let b = instance.budget(i);
+            if b > 0.0 {
+                instance.cost(s, i) / b
+            } else if instance.cost(s, i) > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        })
+        .sum();
+    if pressure <= 0.0 {
+        return None;
+    }
+    let mut loss = 0.0f64;
+    let caps = instance.user_caps();
+    // Exact audience pairs: repair decisions and their losses stay exact in
+    // every lane mode.
+    for &(u, w) in instance.audience(s) {
+        if assignment.contains(u, s) {
+            let cap = caps[u.index()];
+            let r = raw[u.index()];
+            loss += r.min(cap) - (r - w).min(cap);
+        }
+    }
+    Some(if pressure.is_infinite() {
+        (0u8, loss)
+    } else {
+        (1u8, loss / pressure)
+    })
 }
 
 #[cfg(test)]
@@ -1677,6 +1742,249 @@ mod tests {
         let mut empty = Assignment::for_instance(&inst);
         assert_eq!(repair_budgets(&inst, &mut empty), 0);
         assert!(empty.is_empty());
+    }
+
+    /// The full-recompute repair loop: every drop recomputes every user's
+    /// raw utility and rescans the audience of every range stream. Kept as
+    /// the oracle [`repair_budgets`] must match drop for drop.
+    fn repair_budgets_reference(instance: &Instance, assignment: &mut Assignment) -> usize {
+        let m = instance.num_measures();
+        let mut dropped = 0usize;
+        loop {
+            let violated: Vec<usize> = (0..m)
+                .filter(|&i| {
+                    !num::approx_le(assignment.server_cost(i, instance), instance.budget(i))
+                })
+                .collect();
+            if violated.is_empty() {
+                return dropped;
+            }
+            let raw: Vec<f64> = instance
+                .users()
+                .map(|u| assignment.user_raw_utility(u, instance))
+                .collect();
+            let mut best: Option<((u8, f64), StreamId)> = None;
+            for s in assignment.range().collect::<Vec<_>>() {
+                let pressure: f64 = violated
+                    .iter()
+                    .map(|&i| {
+                        let b = instance.budget(i);
+                        if b > 0.0 {
+                            instance.cost(s, i) / b
+                        } else if instance.cost(s, i) > 0.0 {
+                            f64::INFINITY
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum();
+                if pressure <= 0.0 {
+                    continue;
+                }
+                let mut loss = 0.0f64;
+                let caps = instance.user_caps();
+                for &(u, w) in instance.audience(s) {
+                    if assignment.contains(u, s) {
+                        let cap = caps[u.index()];
+                        let r = raw[u.index()];
+                        loss += r.min(cap) - (r - w).min(cap);
+                    }
+                }
+                let score = if pressure.is_infinite() {
+                    (0u8, loss)
+                } else {
+                    (1u8, loss / pressure)
+                };
+                let better = best
+                    .is_none_or(|(bs, _)| score.0 < bs.0 || (score.0 == bs.0 && score.1 < bs.1));
+                if better {
+                    best = Some((score, s));
+                }
+            }
+            let Some((_, s)) = best else {
+                return dropped;
+            };
+            for &u in instance.audience_users(s) {
+                assignment.unassign(UserId::new(u as usize), s);
+            }
+            dropped += 1;
+        }
+    }
+
+    /// Every interest of `inst` assigned: the most over-budget start.
+    fn assign_all(inst: &Instance) -> Assignment {
+        let mut a = Assignment::for_instance(inst);
+        for s in inst.streams() {
+            for &(u, _) in inst.audience(s) {
+                a.assign(u, s);
+            }
+        }
+        a
+    }
+
+    /// Runs both repairs from `start` and checks they drop the same streams;
+    /// returns the repaired assignment and the drop count.
+    fn repair_both(inst: &Instance, start: &Assignment) -> (Assignment, usize) {
+        let mut fast = start.clone();
+        let mut reference = start.clone();
+        let n = repair_budgets(inst, &mut fast);
+        assert_eq!(n, repair_budgets_reference(inst, &mut reference));
+        assert_eq!(fast, reference);
+        (fast, n)
+    }
+
+    /// A random instance for the repair differential, derived from `seed`:
+    /// each measure is a zero, infinite or finite budget, values come from
+    /// small sets (so equal costs and utilities force ties), caps are
+    /// often binding, and some streams are free.
+    fn repair_instance(seed: u64, measures: usize, streams: usize, users: usize) -> Instance {
+        let mut x = seed;
+        let mut pick = move |n: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % n as u64) as usize
+        };
+        let budgets: Vec<f64> = (0..measures)
+            .map(|_| [0.0, f64::INFINITY, 5.0, 10.0][pick(4)])
+            .collect();
+        let mut b = Instance::builder("repair-diff").server_budgets(budgets.clone());
+        let ids: Vec<StreamId> = (0..streams)
+            .map(|_| {
+                let costs = budgets
+                    .iter()
+                    .map(|&budget| {
+                        if budget == 0.0 {
+                            // Within the builder's tolerance of a zero
+                            // budget, but three of them overspend it.
+                            [0.0, 4e-10][pick(2)]
+                        } else {
+                            [0.0, 1.0, 2.0, 2.0, 3.0, 5.0][pick(6)]
+                        }
+                    })
+                    .collect();
+                b.add_stream(costs)
+            })
+            .collect();
+        for _ in 0..users {
+            let u = b.add_user([1.5, 3.0, 5.0, f64::INFINITY][pick(4)], vec![]);
+            for &s in &ids {
+                if pick(2) == 0 {
+                    b.add_interest(u, s, [1.0, 1.0, 2.0, 3.0][pick(4)], vec![])
+                        .unwrap();
+                }
+            }
+        }
+        let inst = b.build().unwrap();
+        if pick(4) == 0 {
+            inst.with_lane_mode(crate::instance::LaneMode::Compact)
+                .unwrap()
+        } else {
+            inst
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The incremental repair drops exactly the streams the
+        /// full-recompute loop drops, from every interest assigned and from
+        /// a random subset of them.
+        #[test]
+        fn repair_matches_the_full_recompute_loop(
+            seed in proptest::prelude::any::<u64>(),
+            measures in 1usize..4,
+            streams in 2usize..14,
+            users in 1usize..8,
+            mask in proptest::prelude::any::<u64>(),
+        ) {
+            let inst = repair_instance(seed, measures, streams, users);
+            let all = assign_all(&inst);
+            repair_both(&inst, &all);
+            let mut subset = Assignment::for_instance(&inst);
+            for (k, (u, s)) in inst
+                .streams()
+                .flat_map(|s| inst.audience(s).iter().map(move |&(u, _)| (u, s)))
+                .enumerate()
+            {
+                if mask >> (k % 64) & 1 == 1 {
+                    subset.assign(u, s);
+                }
+            }
+            repair_both(&inst, &subset);
+        }
+    }
+
+    #[test]
+    fn repair_rescores_everything_when_a_measure_clears() {
+        // One user per stream, so a drop touches no other stream and only
+        // the violated-set change can refresh the cached scores. Both
+        // measures start violated (12 > 10, 15 > 10); s0 has the best
+        // score over both (1 / 1.0) and its drop clears measure 0. Over
+        // measure 1 alone, s2 (2.5 / 0.5) beats s1 (3 / 0.5), although
+        // under the stale two-measure pressure s1 (3 / 0.8) beats s2
+        // (2.5 / 0.5).
+        let mut b = Instance::builder("clear").server_budgets(vec![10.0, 10.0]);
+        let costs = [[9.0, 1.0], [3.0, 5.0], [0.0, 5.0], [0.0, 4.0]];
+        let weights = [1.0, 3.0, 2.5, 10.0];
+        for (c, &w) in costs.iter().zip(&weights) {
+            let s = b.add_stream(c.to_vec());
+            let u = b.add_user(f64::INFINITY, vec![]);
+            b.add_interest(u, s, w, vec![]).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let (repaired, n) = repair_both(&inst, &assign_all(&inst));
+        assert_eq!(n, 2);
+        assert_eq!(repaired.range().collect::<Vec<_>>(), vec![sid(1), sid(3)]);
+    }
+
+    #[test]
+    fn repair_drops_a_zero_budget_stream_first_whatever_its_loss() {
+        // Measure 0 has a zero budget that s2 and s3 overspend together
+        // (1.2e-9 against the 1e-9 tolerance); measure 1 is over by 8.
+        // s0 is a capped user's surplus stream (loss 0, the best tier-1
+        // score), but s2 costs into the zero budget (tier 0), so it goes
+        // first despite losing 100, and its drop clears both measures.
+        let mut b = Instance::builder("zero").server_budgets(vec![0.0, 16.0]);
+        let s0 = b.add_stream(vec![0.0, 8.0]);
+        let s1 = b.add_stream(vec![0.0, 8.0]);
+        let s2 = b.add_stream(vec![6e-10, 8.0]);
+        let s3 = b.add_stream(vec![6e-10, 0.0]);
+        let capped = b.add_user(5.0, vec![]);
+        b.add_interest(capped, s0, 3.0, vec![]).unwrap();
+        b.add_interest(capped, s1, 5.0, vec![]).unwrap();
+        for (s, w) in [(s2, 100.0), (s3, 200.0)] {
+            let u = b.add_user(f64::INFINITY, vec![]);
+            b.add_interest(u, s, w, vec![]).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let (repaired, n) = repair_both(&inst, &assign_all(&inst));
+        assert_eq!(n, 1);
+        assert_eq!(repaired.range().collect::<Vec<_>>(), vec![s0, s1, s3]);
+        assert!(repaired.check_semi_feasible(&inst).is_ok());
+    }
+
+    #[test]
+    fn repair_drops_a_capped_surplus_stream_before_a_real_loss() {
+        // Budget 10, cost 12. u0 is capped at 3 and receives s0 and s1
+        // (3 each), so either drop loses nothing; s2 loses only 0.01 per
+        // 0.5 of pressure, the best uncapped ratio. The capped surplus
+        // goes: s0 (tied with s1 at 0, lower id), and that drop suffices.
+        let mut b = Instance::builder("surplus").server_budgets(vec![10.0]);
+        let s0 = b.add_stream(vec![6.0]);
+        let s1 = b.add_stream(vec![1.0]);
+        let s2 = b.add_stream(vec![5.0]);
+        let u0 = b.add_user(3.0, vec![]);
+        b.add_interest(u0, s0, 3.0, vec![]).unwrap();
+        b.add_interest(u0, s1, 3.0, vec![]).unwrap();
+        let u1 = b.add_user(f64::INFINITY, vec![]);
+        b.add_interest(u1, s2, 0.01, vec![]).unwrap();
+        let inst = b.build().unwrap();
+        let start = assign_all(&inst);
+        let (repaired, n) = repair_both(&inst, &start);
+        assert_eq!(n, 1);
+        assert_eq!(repaired.range().collect::<Vec<_>>(), vec![s1, s2]);
+        assert_eq!(repaired.utility(&inst), start.utility(&inst));
     }
 
     #[test]
