@@ -584,7 +584,7 @@ fn ingest(
             final_outcome.super_shards,
             m.dirty_super_fraction(),
             m.inner_cache_hits,
-            m.inner_cache_misses
+            m.resolved_shards
         );
     }
     if !budget.is_unlimited() {

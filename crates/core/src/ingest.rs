@@ -76,22 +76,27 @@
 //!
 //! # Admission between re-solves
 //!
-//! [`provisional_admissions`](IngestEngine::provisional_admissions) runs
-//! the §5 [`OnlineAllocator`] (Algorithm 2) over the pending updates:
-//! warm-started from the committed assignment via
+//! [`IngestSnapshot::provisional_admissions`] runs the §5
+//! [`OnlineAllocator`] (Algorithm 2) over updates the snapshot has not
+//! applied: warm-started from the committed assignment via
 //! [`preload`](OnlineAllocator::preload), it decides each pending arrival
 //! by the exponential-cost rule, giving an immediate, feasibility-safe
 //! admission verdict without waiting for the batch re-solve (which later
-//! supersedes it).
+//! supersedes it). An engine previews its own queue as
+//! `engine.snapshot(epoch).provisional_admissions(engine.pending(), config)`.
 //!
 //! # Truly asynchronous applies
 //!
+//! The engine keeps its committed state as one [`IngestSnapshot`] whose
+//! instances, model and assignment sit behind `Arc`s: a commit moves the
+//! freshly solved parts into new `Arc`s, and
+//! [`snapshot`](IngestEngine::snapshot) copies only the handles.
 //! [`async_apply`] lifts the engine onto a dedicated solver thread: an
 //! [`async_apply::AsyncIngest`] accepts pre-validated batches as numbered
 //! *epochs* while re-solves run in the background, publishing each
-//! committed [`IngestSnapshot`] with an atomic swap so readers never block
-//! on an in-flight re-solve. Batch order — and therefore bit-identity with
-//! the synchronous path — is preserved because one solver thread applies
+//! committed snapshot with an atomic swap so readers never block on an
+//! in-flight re-solve. Batch order — and therefore bit-identity with the
+//! synchronous path — is preserved because one solver thread applies
 //! epochs strictly in submission order.
 //!
 //! A panic inside a re-solve does not take the engine down:
@@ -118,6 +123,7 @@ use crate::num;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One update of the streaming frontend.
@@ -430,10 +436,9 @@ pub struct IngestMetrics {
     /// (two-level mode).
     pub resolved_supers: u64,
     /// Shard solves skipped because the leaf memo held the
-    /// `(membership, content, share)`-keyed solution (either mode).
+    /// `(membership, content, share)`-keyed solution (either mode; the
+    /// solves that did run are [`resolved_shards`](Self::resolved_shards)).
     pub inner_cache_hits: u64,
-    /// Shard solves actually run (either mode; equals `resolved_shards`).
-    pub inner_cache_misses: u64,
     /// [`apply`](IngestEngine::apply) calls that returned an error (the
     /// committed state was left untouched each time).
     pub rejected_batches: u64,
@@ -497,17 +502,11 @@ struct Touched {
 }
 
 impl Touched {
-    fn new(ns: usize, nu: usize) -> Self {
+    /// Flags every stream and user of `base` as `touched`.
+    fn uniform(base: &Instance, touched: bool) -> Self {
         Touched {
-            streams: vec![false; ns],
-            users: vec![false; nu],
-        }
-    }
-
-    fn everything(ns: usize, nu: usize) -> Self {
-        Touched {
-            streams: vec![true; ns],
-            users: vec![true; nu],
+            streams: vec![touched; base.num_streams()],
+            users: vec![touched; base.num_users()],
         }
     }
 
@@ -812,15 +811,11 @@ impl Universe {
 /// The stateful streaming frontend (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct IngestEngine {
-    base: Instance,
+    /// The committed state, shared with every snapshot taken of it.
+    committed: IngestSnapshot,
     config: IngestConfig,
-    model: Model,
     pending: Vec<Update>,
-    current: Instance,
-    assignment: Assignment,
     cache: LeafCache,
-    last: IngestOutcome,
-    metrics: IngestMetrics,
     /// Set when governance deferred an escalated full re-solve
     /// ([`DeferFull`](crate::govern::DegradeAction::DeferFull)); cleared
     /// by a successful [`refresh_full`](Self::refresh_full).
@@ -853,30 +848,34 @@ impl IngestEngine {
     /// / [`IngestError::Solve`]; neither occurs for well-formed instances).
     pub fn new(base: Instance, config: IngestConfig) -> Result<Self, IngestError> {
         let started = Instant::now();
+        let base = Arc::new(base);
         let mut engine = IngestEngine {
-            current: base.clone(),
-            assignment: Assignment::for_instance(&base),
-            cache: LeafCache::default(),
-            model: Model::from_instance(&base),
+            committed: IngestSnapshot {
+                epoch: 0,
+                assignment: Arc::new(Assignment::for_instance(&base)),
+                model: Arc::new(Model::from_instance(&base)),
+                current: Arc::clone(&base),
+                base,
+                last: IngestOutcome::default(),
+                metrics: IngestMetrics::default(),
+            },
+            config,
             pending: Vec::new(),
-            last: IngestOutcome::default(),
-            metrics: IngestMetrics::default(),
+            cache: LeafCache::default(),
             deferred_refresh: false,
             #[cfg(test)]
             panic_on_apply: None,
-            base,
-            config,
         };
-        let touched = Touched::everything(engine.base.num_streams(), engine.base.num_users());
+        let touched = Touched::uniform(&engine.committed.base, true);
         // The initial solve is never governed: a serving frontend needs a
         // complete certified bracket before it can degrade from one.
-        let (current, tree) =
-            engine.resolve(&engine.model, &touched, started, SolveBudget::unlimited())?;
+        let model = &engine.committed.model;
+        let (current, tree) = engine.resolve(model, &touched, started, SolveBudget::unlimited())?;
         let Tree::Solved(tree) = tree else {
             unreachable!("an unlimited budget never sheds")
         };
         engine.commit(current, *tree, 0, started);
-        engine.metrics = IngestMetrics::default();
+        engine.committed.metrics = IngestMetrics::default();
         Ok(engine)
     }
 
@@ -887,28 +886,28 @@ impl IngestEngine {
 
     /// The committed instance snapshot (the last applied state).
     pub fn current_instance(&self) -> &Instance {
-        &self.current
+        self.committed.current_instance()
     }
 
     /// The committed assignment.
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        self.committed.assignment()
     }
 
     /// Capped utility of the committed assignment.
     pub fn utility(&self) -> f64 {
-        self.last.utility
+        self.committed.utility()
     }
 
     /// The last applied batch's outcome (the current certificate).
     pub fn last_outcome(&self) -> &IngestOutcome {
-        &self.last
+        self.committed.last_outcome()
     }
 
     /// Monotone operation counters since construction (the initial solve is
     /// not counted). See [`IngestMetrics`].
     pub fn metrics(&self) -> &IngestMetrics {
-        &self.metrics
+        self.committed.metrics()
     }
 
     /// Updates queued but not yet applied.
@@ -918,7 +917,7 @@ impl IngestEngine {
 
     /// Number of currently live streams (committed model).
     pub fn num_live(&self) -> usize {
-        self.model.live.iter().filter(|&&l| l).count()
+        self.committed.num_live()
     }
 
     /// The engine's fixed id [`Universe`] — what
@@ -927,7 +926,20 @@ impl IngestEngine {
     /// submitting thread.
     #[must_use]
     pub fn universe(&self) -> Universe {
-        Universe::of(&self.base)
+        Universe::of(&self.committed.base)
+    }
+
+    /// The committed state stamped with `epoch` — what the async apply
+    /// path publishes after each commit so queries never wait on an
+    /// in-flight re-solve. It shares the engine's instances, model and
+    /// assignment, so taking one copies no `Instance`, model or
+    /// `Assignment`.
+    #[must_use]
+    pub fn snapshot(&self, epoch: u64) -> IngestSnapshot {
+        IngestSnapshot {
+            epoch,
+            ..self.committed.clone()
+        }
     }
 
     /// Queues one update for the next [`apply`](Self::apply). Structural
@@ -985,7 +997,7 @@ impl IngestEngine {
         let updates: Vec<Update> = updates.into_iter().collect();
         for update in &updates {
             if let Err(e) = self.universe().validate(update) {
-                self.metrics.rejected_updates += 1;
+                self.committed.metrics.rejected_updates += 1;
                 return Err(e);
             }
         }
@@ -1014,18 +1026,19 @@ impl IngestEngine {
     /// Returns the first [`IngestError`] encountered.
     pub fn apply(&mut self) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
-        let mut model = self.model.clone();
-        let mut touched = Touched::new(self.base.num_streams(), self.base.num_users());
+        let base = &self.committed.base;
+        let mut model = Model::clone(&self.committed.model);
+        let mut touched = Touched::uniform(base, false);
         let resolved = self
             .pending
             .iter()
-            .try_for_each(|update| model.apply(&self.base, update, &mut touched))
+            .try_for_each(|update| model.apply(base, update, &mut touched))
             .and_then(|()| {
                 catch_panic(|| self.resolve(&model, &touched, started, self.config.budget))
             });
         match resolved {
             Ok((current, Tree::Solved(tree))) => {
-                self.model = model;
+                self.committed.model = Arc::new(model);
                 let applied = std::mem::take(&mut self.pending).len();
                 Ok(self.commit(current, *tree, applied, started))
             }
@@ -1035,20 +1048,20 @@ impl IngestEngine {
                 // for a retry. The returned outcome is the last committed
                 // bracket, marked stale — its certificate describes the
                 // *previous* instance, not the requested post-batch one.
-                let m = &mut self.metrics;
-                m.budget_soft_trips += u64::from(soft_tripped);
-                m.budget_hard_trips += 1;
-                m.degraded_applies += 1;
-                self.last.updates_applied = 0;
-                self.last.degraded = true;
-                self.last.soft_tripped = soft_tripped;
-                self.last.hard_tripped = true;
-                self.last.stale = true;
-                self.last.stale_gap_fraction = 1.0;
-                Ok(self.last)
+                let IngestSnapshot { last, metrics, .. } = &mut self.committed;
+                metrics.budget_soft_trips += u64::from(soft_tripped);
+                metrics.budget_hard_trips += 1;
+                metrics.degraded_applies += 1;
+                last.updates_applied = 0;
+                last.degraded = true;
+                last.soft_tripped = soft_tripped;
+                last.hard_tripped = true;
+                last.stale = true;
+                last.stale_gap_fraction = 1.0;
+                Ok(*last)
             }
             Err(e) => {
-                self.metrics.rejected_batches += 1;
+                self.committed.metrics.rejected_batches += 1;
                 Err(e)
             }
         }
@@ -1072,7 +1085,7 @@ impl IngestEngine {
     /// re-solve; the committed state is unchanged on error.
     pub fn refresh_full(&mut self) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
-        let touched = Touched::everything(self.base.num_streams(), self.base.num_users());
+        let touched = Touched::uniform(&self.committed.base, true);
         // The deferred-refresh request is consumed by the *attempt*, not
         // the success — a failing refresh must not put background
         // maintenance into a hot retry loop (the next DeferFull trip
@@ -1082,11 +1095,12 @@ impl IngestEngine {
         // it is how a degraded engine catches back up (stale memo entries
         // are rebuilt from fresh solves here).
         let unlimited = SolveBudget::unlimited();
-        match catch_panic(|| self.resolve(&self.model, &touched, started, unlimited)) {
+        let model = &self.committed.model;
+        match catch_panic(|| self.resolve(model, &touched, started, unlimited)) {
             Ok((current, Tree::Solved(tree))) => Ok(self.commit(current, *tree, 0, started)),
             Ok((_, Tree::Shed { .. })) => unreachable!("an unlimited budget never sheds"),
             Err(e) => {
-                self.metrics.rejected_batches += 1;
+                self.committed.metrics.rejected_batches += 1;
                 Err(e)
             }
         }
@@ -1104,10 +1118,11 @@ impl IngestEngine {
     }
 
     /// Commits one solved tree over `current`: reports the work it did,
-    /// rebuilds the leaf memo from its leaves, installs the new state and
-    /// folds the outcome into the monotone counters. The memo is rebuilt
-    /// only after the tree solve merged and reconciled: those passes are
-    /// sensitive to where the merged assignment's allocations live.
+    /// rebuilds the leaf memo from its leaves, moves the instance and the
+    /// merged assignment into the committed state and folds the outcome
+    /// into the monotone counters. The memo is rebuilt only after the tree
+    /// solve merged and reconciled: those passes are sensitive to where
+    /// the merged assignment's allocations live.
     fn commit(
         &mut self,
         current: Instance,
@@ -1140,15 +1155,14 @@ impl IngestEngine {
             stale_gap_fraction: fraction_of(tree.skipped_bound, out.upper_bound),
             deferred_full: tree.deferred_full,
         };
-        self.metrics.inner_cache_hits += count(LeafState::Reused) as u64;
+        self.committed.metrics.inner_cache_hits += count(LeafState::Reused) as u64;
         self.cache = LeafCache::new(tree.leaves, &current);
-        self.current = current;
-        self.assignment = out.assignment;
-        self.last = outcome;
+        self.committed.current = Arc::new(current);
+        self.committed.assignment = Arc::new(out.assignment);
+        self.committed.last = outcome;
         self.deferred_refresh |= outcome.deferred_full;
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let m = &mut self.metrics;
-        m.inner_cache_misses += outcome.resolved_shards as u64;
+        let m = &mut self.committed.metrics;
         m.applies += 1;
         m.updates_applied += outcome.updates_applied as u64;
         m.full_resolves += u64::from(outcome.full_resolve);
@@ -1163,45 +1177,6 @@ impl IngestEngine {
         m.last_apply_nanos = nanos;
         m.total_apply_nanos = m.total_apply_nanos.saturating_add(nanos);
         outcome
-    }
-
-    /// Runs the §5 online allocator over the pending updates: warm-started
-    /// from the committed assignment, each pending [`Update::StreamArrival`]
-    /// is offered (in queue order) and decided by the exponential-cost
-    /// rule. Purely advisory — the committed state is untouched, and the
-    /// next [`apply`](Self::apply) supersedes the provisional decisions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stateful validation errors from the pending batch and
-    /// [`SolveError`]s from the allocator's normalization.
-    pub fn provisional_admissions(
-        &self,
-        config: OnlineConfig,
-    ) -> Result<Vec<OfferOutcome>, IngestError> {
-        provisional_admissions_over(
-            &self.base,
-            &self.model,
-            &self.assignment,
-            &self.pending,
-            config,
-        )
-    }
-
-    /// An owned, immutable view of the committed state, stamped with
-    /// `epoch` — what the async apply path publishes after each commit so
-    /// queries never wait on an in-flight re-solve.
-    #[must_use]
-    pub fn snapshot(&self, epoch: u64) -> IngestSnapshot {
-        IngestSnapshot {
-            epoch,
-            base: self.base.clone(),
-            model: self.model.clone(),
-            current: self.current.clone(),
-            assignment: self.assignment.clone(),
-            last: self.last,
-            metrics: self.metrics,
-        }
     }
 
     /// The incremental core: materializes `model` and runs the tree solve
@@ -1224,10 +1199,13 @@ impl IngestEngine {
         budget: SolveBudget,
     ) -> Result<(Instance, Tree), IngestError> {
         #[cfg(test)]
-        if self.panic_on_apply == Some(self.metrics.applies + self.metrics.rejected_batches + 1) {
-            panic!("injected solver fault");
+        {
+            let m = &self.committed.metrics;
+            if self.panic_on_apply == Some(m.applies + m.rejected_batches + 1) {
+                panic!("injected solver fault");
+            }
         }
-        let current = model.materialize(&self.base)?;
+        let current = model.materialize(&self.committed.base)?;
         let memo = MemoView {
             cache: &self.cache,
             touched,
@@ -1244,64 +1222,25 @@ impl IngestEngine {
     }
 }
 
-/// The shared §5 preview behind
-/// [`IngestEngine::provisional_admissions`] and
-/// [`IngestSnapshot::provisional_admissions`]: applies `pending` to a
-/// scratch copy of `model`, materializes the preview (with orphaned
-/// streams zeroed), and offers each pending arrival to a warm-started
-/// [`OnlineAllocator`].
-fn provisional_admissions_over(
-    base: &Instance,
-    model: &Model,
-    assignment: &Assignment,
-    pending: &[Update],
-    config: OnlineConfig,
-) -> Result<Vec<OfferOutcome>, IngestError> {
-    let mut scratch = model.clone();
-    let mut touched = Touched::new(base.num_streams(), base.num_users());
-    let mut arrivals = Vec::new();
-    for update in pending {
-        scratch.apply(base, update, &mut touched)?;
-        if let Update::StreamArrival(s) = *update {
-            arrivals.push(s);
-        }
-    }
-    let mut preview = scratch.materialize(base)?;
-    // Audience-less live streams (every interest churned away) would
-    // fail the eq.-(1) normalization; they can never be assigned, so
-    // zeroing their costs changes no decision.
-    let orphans: Vec<StreamId> = preview
-        .streams()
-        .filter(|&s| preview.audience(s).is_empty() && preview.costs(s).iter().any(|&c| c > 0.0))
-        .collect();
-    if !orphans.is_empty() {
-        let mut no_cost = scratch.clone();
-        for s in &orphans {
-            no_cost.live[s.index()] = false;
-        }
-        preview = no_cost.materialize(base)?;
-    }
-    let mut allocator =
-        OnlineAllocator::with_config(&preview, config).map_err(IngestError::Solve)?;
-    allocator.preload(assignment);
-    Ok(arrivals.into_iter().map(|s| allocator.offer(s)).collect())
-}
-
-/// An owned, immutable view of an engine's committed state, stamped with
-/// the epoch that produced it.
+/// An engine's committed state, stamped with the epoch that produced it.
 ///
-/// Published by [`async_apply::AsyncIngest`] after every commit via an
-/// atomic `Arc` swap: readers (query handlers, health probes) always see a
-/// complete certified `utility ≤ OPT ≤ upper_bound` bracket — either the
-/// pre-apply state or the post-apply state, never a torn intermediate —
-/// while the solver thread re-solves the next batch.
+/// The engine keeps its own committed state as one of these: the base and
+/// committed instances, the model and the assignment sit behind `Arc`s and
+/// are never mutated, so [`IngestEngine::snapshot`] shares them instead of
+/// copying, and a snapshot taken earlier keeps describing its own epoch
+/// however the engine moves on. Published by [`async_apply::AsyncIngest`]
+/// after every commit via an atomic `Arc` swap: readers (query handlers,
+/// health probes) always see a complete certified
+/// `utility ≤ OPT ≤ upper_bound` bracket — either the pre-apply state or
+/// the post-apply state, never a torn intermediate — while the solver
+/// thread re-solves the next batch.
 #[derive(Clone, Debug)]
 pub struct IngestSnapshot {
     epoch: u64,
-    base: Instance,
-    model: Model,
-    current: Instance,
-    assignment: Assignment,
+    base: Arc<Instance>,
+    model: Arc<Model>,
+    current: Arc<Instance>,
+    assignment: Arc<Assignment>,
     last: IngestOutcome,
     metrics: IngestMetrics,
 }
@@ -1350,17 +1289,12 @@ impl IngestSnapshot {
         self.model.live.iter().filter(|&&l| l).count()
     }
 
-    /// The snapshot's fixed id [`Universe`].
-    #[must_use]
-    pub fn universe(&self) -> Universe {
-        Universe::of(&self.base)
-    }
-
     /// The §5 online preview over this snapshot: `pending` updates that
-    /// have not reached the engine yet are applied to a scratch model and
-    /// each pending arrival is offered to a warm-started allocator —
-    /// identical to [`IngestEngine::provisional_admissions`] over the same
-    /// committed state and pending queue.
+    /// have not been applied to it are applied to a scratch copy of its
+    /// model, the preview is materialized (with orphaned streams zeroed),
+    /// and each pending arrival is offered, in queue order, to an
+    /// [`OnlineAllocator`] warm-started from the committed assignment.
+    /// Purely advisory: the next apply supersedes the verdicts.
     ///
     /// # Errors
     ///
@@ -1371,7 +1305,36 @@ impl IngestSnapshot {
         pending: &[Update],
         config: OnlineConfig,
     ) -> Result<Vec<OfferOutcome>, IngestError> {
-        provisional_admissions_over(&self.base, &self.model, &self.assignment, pending, config)
+        let base = &self.base;
+        let mut scratch = Model::clone(&self.model);
+        let mut touched = Touched::uniform(base, false);
+        let mut arrivals = Vec::new();
+        for update in pending {
+            scratch.apply(base, update, &mut touched)?;
+            if let Update::StreamArrival(s) = *update {
+                arrivals.push(s);
+            }
+        }
+        let mut preview = scratch.materialize(base)?;
+        // Audience-less live streams (every interest churned away) would
+        // fail the eq.-(1) normalization; they can never be assigned, so
+        // zeroing their costs changes no decision.
+        let orphans: Vec<StreamId> = preview
+            .streams()
+            .filter(|&s| {
+                preview.audience(s).is_empty() && preview.costs(s).iter().any(|&c| c > 0.0)
+            })
+            .collect();
+        if !orphans.is_empty() {
+            for s in &orphans {
+                scratch.live[s.index()] = false;
+            }
+            preview = scratch.materialize(base)?;
+        }
+        let mut allocator =
+            OnlineAllocator::with_config(&preview, config).map_err(IngestError::Solve)?;
+        allocator.preload(&self.assignment);
+        Ok(arrivals.into_iter().map(|s| allocator.offer(s)).collect())
     }
 }
 
@@ -1463,7 +1426,6 @@ mod tests {
         assert_eq!(m.super_slots, 7);
         assert_eq!(m.resolved_supers, 3);
         assert!(m.dirty_super_fraction() < 1.0);
-        assert_eq!(m.inner_cache_misses, m.resolved_shards);
     }
 
     #[test]
@@ -1702,7 +1664,10 @@ mod tests {
         eng.push(Update::StreamDeparture(sid(0))).unwrap();
         eng.apply().unwrap();
         eng.push(Update::StreamArrival(sid(0))).unwrap();
-        let offers = eng.provisional_admissions(OnlineConfig::default()).unwrap();
+        let offers = eng
+            .snapshot(0)
+            .provisional_admissions(eng.pending(), OnlineConfig::default())
+            .unwrap();
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].stream, sid(0));
         assert!(
@@ -1841,6 +1806,50 @@ mod tests {
         assert!(m2.resolved_shards >= m1.resolved_shards);
         assert!(m2.shard_slots >= m1.shard_slots);
         assert!(m2.total_apply_nanos >= m1.total_apply_nanos);
+    }
+
+    #[test]
+    fn snapshots_share_the_committed_state_and_outlive_later_commits() {
+        let mut eng = engine(three_components());
+        eng.push(Update::StreamDeparture(sid(0))).unwrap();
+        eng.apply().unwrap();
+        let snap = eng.snapshot(1);
+        // Taking a snapshot copies no part of the committed state.
+        assert!(std::ptr::eq(
+            eng.current_instance(),
+            snap.current_instance()
+        ));
+        assert!(std::ptr::eq(eng.assignment(), snap.assignment()));
+        let bits = |o: &IngestOutcome| (o.utility.to_bits(), o.upper_bound.to_bits());
+        let frozen = (bits(snap.last_outcome()), snap.assignment().clone());
+
+        // A committed apply, a shed apply and a full refresh later, the
+        // snapshot still describes the state it was taken of.
+        eng.push(Update::StreamArrival(sid(0))).unwrap();
+        eng.apply().unwrap();
+        eng.config.budget = SolveBudget::default().with_hard_work(0);
+        eng.push(Update::StreamDeparture(sid(2))).unwrap();
+        assert!(eng.apply().unwrap().stale, "the zero budget sheds");
+        eng.config.budget = SolveBudget::unlimited();
+        eng.clear_pending();
+        eng.refresh_full().unwrap();
+        assert_matches_scratch(&eng);
+        let later = eng.snapshot(2);
+        assert!(std::ptr::eq(
+            eng.current_instance(),
+            later.current_instance()
+        ));
+        assert!(std::ptr::eq(eng.assignment(), later.assignment()));
+        assert!(later.assignment().in_range(sid(0)));
+
+        assert_eq!(snap.epoch(), 1);
+        assert_eq!(
+            (bits(snap.last_outcome()), snap.assignment().clone()),
+            frozen
+        );
+        assert!(!snap.assignment().in_range(sid(0)));
+        assert_eq!(snap.num_live(), 5);
+        assert_eq!(snap.metrics().applies, 1);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   the synchronous path and, by the engine's equivalence contract, to a
 //!   from-scratch sharded solve (`tests/ingest_churn.rs` pins all three).
 //! * After each epoch the solver publishes an [`IngestSnapshot`] by
-//!   swapping an `Arc` behind a mutex — an atomic epoch swap. Readers
+//!   swapping an `Arc` behind a mutex — an atomic epoch swap. The
+//!   snapshot shares the engine's committed instance, model and
+//!   assignment, so publishing copies none of them. Readers
 //!   ([`AsyncIngest::snapshot`]) get either the previous or the new
 //!   committed state, never a torn intermediate, and never wait on an
 //!   in-flight re-solve.

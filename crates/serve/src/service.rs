@@ -316,7 +316,8 @@ impl Service {
         // A handler that panicked under the lock must not take the other
         // connections down with it: recover the batch from the poison. It
         // is valid at every step, since the only writes are an `extend` by
-        // validated updates and a `take`.
+        // validated updates, a `truncate` back to an earlier length and a
+        // `take`.
         let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         if self.draining() {
             return Err(draining_error());
@@ -350,10 +351,15 @@ impl Service {
         if let Err(e) = self.ingest.validate_batch(updates) {
             return error_response(&e);
         }
+        let before = pending.len();
         pending.extend(updates.iter().cloned());
         let admissions = match admit.then(|| self.provisional(pending)).transpose() {
             Ok(admissions) => admissions,
-            Err(e) => return error_response(&e),
+            Err(e) => {
+                // An error frame means nothing from the frame was enqueued.
+                pending.truncate(before);
+                return error_response(&e);
+            }
         };
         Response::Pushed {
             pending: pending.len(),
@@ -452,7 +458,7 @@ impl Service {
             super_shards: self.config.ingest.shard.super_shards as u64,
             dirty_super_fraction: m.dirty_super_fraction(),
             inner_cache_hits: m.inner_cache_hits,
-            inner_cache_misses: m.inner_cache_misses,
+            inner_cache_misses: m.resolved_shards,
             rejected_batches: m.rejected_batches,
             rejected_updates: m.rejected_updates,
             last_apply_micros: m.last_apply_nanos / 1_000,
@@ -659,6 +665,26 @@ mod tests {
         assert_eq!(admissions.len(), 1);
         assert!(admissions[0].admitted, "uncontended arrival is admitted");
         assert_eq!(svc.metrics_snapshot().admitted, 1);
+    }
+
+    #[test]
+    fn a_rejected_admission_preview_enqueues_nothing() {
+        let svc = service();
+        svc.handle(&depart(0));
+        // Budget below live costs: the preview's stateful validation fails.
+        let r = svc.handle(&Request::Update {
+            updates: vec![Update::BudgetChange {
+                measure: 0,
+                budget: 1.0,
+            }],
+            admit: true,
+        });
+        assert_eq!(code(&r), Some(ErrorCode::Rejected));
+        assert_eq!(svc.pending_updates(), 1, "only the earlier frame is queued");
+        let Response::Applied { outcome } = svc.handle(&Request::Apply) else {
+            panic!("the earlier frame alone must apply");
+        };
+        assert_eq!(outcome.updates_applied, 1);
     }
 
     #[test]
