@@ -10,7 +10,10 @@
 //!   epoch number, and enqueues it — returning immediately. Structural
 //!   garbage is rejected synchronously (same all-or-nothing contract as
 //!   [`IngestEngine::push_batch`]); stateful rejections surface through
-//!   [`AsyncIngest::wait`].
+//!   [`AsyncIngest::wait`]. Each epoch is all-or-nothing: a rejected
+//!   epoch, and one a hard budget trip shed (its outcome is `stale`),
+//!   leaves nothing pending for later epochs. The synchronous engine
+//!   instead keeps a shed batch for its caller to retry.
 //! * A dedicated solver thread owns the engine and applies epochs
 //!   **strictly in submission order**, one at a time. Order is the entire
 //!   determinism argument: the synchronous path applies the same batches
@@ -367,8 +370,10 @@ fn solver_loop(mut engine: IngestEngine, shared: &Shared) -> IngestEngine {
             Ok(_) => engine.apply(),
             Err(e) => Err(e),
         };
-        if result.is_err() {
-            // A rejected batch must not poison later epochs.
+        if !matches!(&result, Ok(outcome) if !outcome.stale) {
+            // Each epoch is all-or-nothing: a rejected batch must not
+            // poison later epochs, and a shed one (answered `stale`, for
+            // its client to resend) must not ride along with them.
             engine.clear_pending();
         }
         // The atomic epoch swap: readers see the previous snapshot or this

@@ -14,6 +14,14 @@
 //! unconstrained instance, an unconstrained budget) are encoded as `null`
 //! — the same convention the instance file format uses.
 //!
+//! The four struct-shaped bodies ([`Admission`], [`WireOutcome`],
+//! [`HealthSnapshot`], [`MetricsSnapshot`]) are each one `wire_body!`
+//! table, so a new field is one row: its doc, name and type (coded by the
+//! type's own JSON mapping, or by `Bound` where `∞` encodes as `null`)
+//! and, for `metrics`, its `docs/OPERATIONS.md` unit. The struct, its
+//! encoder, its decoder and [`MetricsSnapshot::FIELDS`] all come from that
+//! row.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,7 +36,7 @@
 
 use mmd_core::ingest::Update;
 use mmd_core::{StreamId, UserId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Machine-readable error class of an error frame.
@@ -152,181 +160,269 @@ pub enum Request {
     Shutdown,
 }
 
-/// One provisional admission verdict (the §5 online allocator's decision
-/// for a pending arrival).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Admission {
-    /// The arriving stream.
-    pub stream: usize,
-    /// Whether the exponential-cost rule admitted it.
-    pub admitted: bool,
-    /// Users the stream was provisionally assigned to (empty = dropped).
-    pub users: Vec<usize>,
-    /// Raw utility the provisional assignment gained.
-    pub gained: f64,
+// ---------------------------------------------------------------------------
+// Wire bodies: one row per field
+// ---------------------------------------------------------------------------
+
+/// How one field of a wire body maps to its JSON value and back. Every
+/// [`Serialize`] + [`Deserialize`] type is its own codec; [`Bound`] is the
+/// one codec that differs from its type's mapping.
+trait Codec {
+    /// The field's Rust type.
+    type T;
+    fn encode(x: &Self::T) -> Value;
+    fn decode(value: &Value) -> Result<Self::T, DeError>;
 }
 
-/// The applied batch's outcome — the wire mirror of
-/// [`mmd_core::IngestOutcome`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WireOutcome {
-    /// Updates applied in the batch.
-    pub updates_applied: usize,
-    /// Shards of the refreshed partition.
-    pub num_shards: usize,
-    /// Shards the batch dirtied.
-    pub dirty_shards: usize,
-    /// Shards actually re-solved.
-    pub resolved_shards: usize,
-    /// Whether a re-shard trigger escalated to a full re-solve.
-    pub full_resolve: bool,
-    /// Certified lower bound (committed utility).
-    pub utility: f64,
-    /// Certified upper bound on the optimum (`∞` encodes as `null`).
-    pub upper_bound: f64,
-    /// Relative certified gap in `[0, 1]`.
-    pub gap_fraction: f64,
-    /// Interests cut by the size-capped partitioner.
-    pub cut_edges: usize,
-    /// Total utility of the cut interests.
-    pub cut_mass: f64,
-    /// Streams dropped by the global budget repair pass.
-    pub repaired_streams: usize,
+impl<T: Serialize + Deserialize> Codec for T {
+    type T = T;
+    fn encode(x: &T) -> Value {
+        x.to_value()
+    }
+    fn decode(value: &Value) -> Result<T, DeError> {
+        T::from_value(value)
+    }
 }
 
-impl From<mmd_core::IngestOutcome> for WireOutcome {
-    fn from(o: mmd_core::IngestOutcome) -> Self {
-        WireOutcome {
-            updates_applied: o.updates_applied,
-            num_shards: o.num_shards,
-            dirty_shards: o.dirty_shards,
-            resolved_shards: o.resolved_shards,
-            full_resolve: o.full_resolve,
-            utility: o.utility,
-            upper_bound: o.upper_bound,
-            gap_fraction: o.gap_fraction,
-            cut_edges: o.cut_edges,
-            cut_mass: o.cut_mass,
-            repaired_streams: o.repaired_streams,
+/// An `f64` that may be `∞`, which encodes as `null` (JSON has no
+/// infinity).
+struct Bound;
+
+impl Codec for Bound {
+    type T = f64;
+    fn encode(&x: &f64) -> Value {
+        if x.is_finite() {
+            Value::Number(x)
+        } else {
+            Value::Null
+        }
+    }
+    fn decode(value: &Value) -> Result<f64, DeError> {
+        match value {
+            Value::Null => Ok(f64::INFINITY),
+            Value::Number(x) => Ok(*x),
+            other => Err(DeError::expected("number or null", other)),
         }
     }
 }
 
-/// The `health` response body. Stable-keyed: serialization emits the
-/// fields in declaration order, always all of them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HealthSnapshot {
-    /// `"ok"` while serving, `"draining"` once shutdown is underway.
-    pub status: String,
-    /// Currently live streams of the committed model.
-    pub live_streams: usize,
-    /// Streams in the universe (live or departed).
-    pub num_streams: usize,
-    /// Users in the universe.
-    pub num_users: usize,
-    /// Updates enqueued but not yet applied.
-    pub pending_updates: usize,
-    /// Sequenced requests waiting for the service's pending-batch lock or
-    /// holding it.
-    pub queue_depth: usize,
-    /// Capacity of the bounded request queue.
-    pub queue_capacity: usize,
-    /// Whether a requested background full re-solve has not finished yet.
-    pub full_resolve_scheduled: bool,
-    /// Apply epochs submitted but not yet committed.
-    pub apply_queue_lag: u64,
-    /// The epoch currently applying on the solver thread (0 = none).
-    pub epoch_in_flight: u64,
+/// Declares a struct-shaped wire body from one row per field:
+/// `/// doc`, then `name: Type;`, coded by the type's own [`Value`]
+/// mapping, or `name: f64 => Bound;` for a value whose `∞` is `null`; a row
+/// ends `, "unit";` instead where the body's fields are documented with
+/// units. It emits the struct and, on it, `FIELDS` (every key in wire
+/// order with its unit, `""` where the row gives none), `entries` (the
+/// encoder: keys in row order) and `decode` (a missing key or a mistyped
+/// value is a `parse` error naming the key).
+macro_rules! wire_body {
+    (@codec $ty:ty) => { $ty };
+    (@codec $ty:ty, $codec:ty) => { $codec };
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* $field:ident: $ty:ty $(=> $codec:ty)? $(, $unit:literal)?;)*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// `(key, unit)` of every field, in wire order. The unit is the
+            /// one `docs/OPERATIONS.md` documents, `""` for bodies it does
+            /// not cover.
+            pub const FIELDS: &'static [(&'static str, &'static str)] =
+                &[$((stringify!($field), concat!("" $(, $unit)?))),*];
+
+            fn entries(&self) -> Vec<(&'static str, Value)> {
+                vec![$((
+                    stringify!($field),
+                    <wire_body!(@codec $ty $(, $codec)?) as Codec>::encode(&self.$field),
+                )),*]
+            }
+
+            fn decode(value: &Value) -> Result<Self, FrameError> {
+                Ok($name {
+                    $($field: field::<wire_body!(@codec $ty $(, $codec)?)>(
+                        value,
+                        stringify!($field),
+                    )?,)*
+                })
+            }
+        }
+    };
 }
 
-/// The `metrics` response body: engine counters, serving counters and the
-/// committed certificate, flattened into one stable-keyed object.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Successfully applied batches (engine).
-    pub applies: u64,
-    /// Updates committed across all applies (engine).
-    pub updates_applied: u64,
-    /// Applies escalated to a full re-solve (engine).
-    pub full_resolves: u64,
-    /// Shards re-solved across all applies (engine).
-    pub resolved_shards: u64,
-    /// Shard-batch slots across all applies (engine).
-    pub shard_slots: u64,
-    /// Lifetime `resolved_shards / shard_slots` (0 before any apply).
-    pub dirty_fraction: f64,
-    /// Configured super-shard fan-out (`0` or `1` = single-level engine).
-    pub super_shards: u64,
-    /// Lifetime `resolved_supers / super_slots` (0 before any two-level
-    /// apply, and always 0 in single-level mode).
-    pub dirty_super_fraction: f64,
-    /// Inner shard solves reused from the two-level cache (engine).
-    pub inner_cache_hits: u64,
-    /// Inner shard solves that missed the two-level cache and ran (engine).
-    pub inner_cache_misses: u64,
-    /// Apply calls that were rejected, committed state untouched (engine).
-    pub rejected_batches: u64,
-    /// Updates rejected by structural validation (engine).
-    pub rejected_updates: u64,
-    /// Wall-clock microseconds of the most recent apply (gauge).
-    pub last_apply_micros: u64,
-    /// Wall-clock microseconds summed over all applies.
-    pub total_apply_micros: u64,
-    /// Request frames handled by the service (not bounced by
-    /// backpressure).
-    pub requests: u64,
-    /// Lines rejected before reaching the service (parse errors, overlong
-    /// lines).
-    pub frames_rejected: u64,
-    /// Requests bounced by backpressure (queue full).
-    pub overloaded: u64,
-    /// Provisional admission checks run.
-    pub admission_checks: u64,
-    /// Pending arrivals provisionally admitted.
-    pub admitted: u64,
-    /// Pending arrivals provisionally dropped.
-    pub admission_rejects: u64,
-    /// Sequenced requests waiting for the pending-batch lock or holding
-    /// it (gauge).
-    pub queue_depth: usize,
-    /// Capacity of the bounded request queue.
-    pub queue_capacity: usize,
-    /// Committed certified lower bound.
-    pub utility: f64,
-    /// Committed certified upper bound (`∞` encodes as `null`).
-    pub upper_bound: f64,
-    /// Committed relative certified gap in `[0, 1]`.
-    pub gap_fraction: f64,
-    /// Worker threads of the process-wide solve pool.
-    pub pool_workers: u64,
-    /// Batches queued or executing in the solve pool (gauge).
-    pub pool_depth: u64,
-    /// Apply epochs submitted but not yet committed.
-    pub apply_queue_lag: u64,
-    /// Last apply epoch handed out.
-    pub epoch_submitted: u64,
-    /// Last apply epoch committed by the solver thread.
-    pub epoch_committed: u64,
-    /// The epoch currently applying on the solver thread (0 = none).
-    pub epoch_in_flight: u64,
-    /// Instance lane layout of the committed model: `"exact"` (bit-exact
-    /// `f64` lanes) or `"compact"` (quantized `u32`/`f32` lanes).
-    pub lane_mode: String,
-    /// Peak resident set size of the serving process in bytes (`VmHWM`;
-    /// 0 where the platform does not expose it).
-    pub peak_rss_bytes: u64,
-    /// Applies whose soft solve budget tripped (engine).
-    pub budget_soft_trips: u64,
-    /// Applies whose hard solve budget tripped (engine).
-    pub budget_hard_trips: u64,
-    /// Applies that committed (or shed) with degraded quality (engine).
-    pub degraded_applies: u64,
-    /// Fraction of the committed upper bound attributable to skipped
-    /// (stale) shards, in `[0, 1]` (gauge; 0 when nothing is stale).
-    pub stale_gap_fraction: f64,
-    /// Escalated full re-solves deferred to background maintenance
-    /// (engine).
-    pub deferred_full_resolves: u64,
+wire_body! {
+    /// One provisional admission verdict (the §5 online allocator's decision
+    /// for a pending arrival).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Admission {
+        /// The arriving stream.
+        stream: usize;
+        /// Whether the exponential-cost rule admitted it.
+        admitted: bool;
+        /// Users the stream was provisionally assigned to (empty = dropped).
+        users: Vec<usize>;
+        /// Raw utility the provisional assignment gained.
+        gained: f64;
+    }
+}
+
+wire_body! {
+    /// The applied batch's outcome — the wire mirror of
+    /// [`mmd_core::IngestOutcome`].
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct WireOutcome {
+        /// Updates applied in the batch.
+        updates_applied: usize;
+        /// Shards of the refreshed partition.
+        num_shards: usize;
+        /// Shards the batch dirtied.
+        dirty_shards: usize;
+        /// Shards actually re-solved.
+        resolved_shards: usize;
+        /// Whether a re-shard trigger escalated to a full re-solve.
+        full_resolve: bool;
+        /// Certified lower bound (committed utility).
+        utility: f64;
+        /// Certified upper bound on the optimum (`∞` encodes as `null`).
+        upper_bound: f64 => Bound;
+        /// Relative certified gap in `[0, 1]`.
+        gap_fraction: f64;
+        /// Interests cut by the size-capped partitioner.
+        cut_edges: usize;
+        /// Total utility of the cut interests.
+        cut_mass: f64;
+        /// Streams dropped by the global budget repair pass.
+        repaired_streams: usize;
+        /// Whether a hard solve-budget trip shed the apply: nothing was
+        /// applied, the batch was discarded, and the certificate is the
+        /// last committed one. The client resends the batch.
+        stale: bool;
+    }
+}
+
+wire_body! {
+    /// The `health` response body. Stable-keyed: serialization emits the
+    /// fields in declaration order, always all of them.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct HealthSnapshot {
+        /// `"ok"` while serving, `"draining"` once shutdown is underway.
+        status: String;
+        /// Currently live streams of the committed model.
+        live_streams: usize;
+        /// Streams in the universe (live or departed).
+        num_streams: usize;
+        /// Users in the universe.
+        num_users: usize;
+        /// Updates enqueued but not yet applied.
+        pending_updates: usize;
+        /// Sequenced requests waiting for the service's pending-batch lock or
+        /// holding it.
+        queue_depth: usize;
+        /// Capacity of the bounded request queue.
+        queue_capacity: usize;
+        /// Whether a requested background full re-solve has not finished yet.
+        full_resolve_scheduled: bool;
+        /// Apply epochs submitted but not yet committed.
+        apply_queue_lag: u64;
+        /// The epoch currently applying on the solver thread (0 = none).
+        epoch_in_flight: u64;
+    }
+}
+
+wire_body! {
+    /// The `metrics` response body: engine counters, serving counters and the
+    /// committed certificate, flattened into one stable-keyed object.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct MetricsSnapshot {
+        /// Successfully applied batches (engine).
+        applies: u64, "count";
+        /// Updates committed across all applies (engine).
+        updates_applied: u64, "count";
+        /// Applies escalated to a full re-solve (engine).
+        full_resolves: u64, "count";
+        /// Shards re-solved across all applies (engine).
+        resolved_shards: u64, "count";
+        /// Shard-batch slots across all applies (engine).
+        shard_slots: u64, "count";
+        /// Lifetime `resolved_shards / shard_slots` (0 before any apply).
+        dirty_fraction: f64, "ratio 0–1, gauge";
+        /// Configured super-shard fan-out (`0` or `1` = single-level engine).
+        super_shards: u64, "count";
+        /// Lifetime `resolved_supers / super_slots` (0 before any two-level
+        /// apply, and always 0 in single-level mode).
+        dirty_super_fraction: f64, "ratio 0–1, gauge";
+        /// Inner shard solves reused from the two-level cache (engine).
+        inner_cache_hits: u64, "count";
+        /// Inner shard solves that missed the two-level cache and ran (engine).
+        inner_cache_misses: u64, "count";
+        /// Apply calls that were rejected, committed state untouched (engine).
+        rejected_batches: u64, "count";
+        /// Updates rejected by structural validation (engine).
+        rejected_updates: u64, "count";
+        /// Wall-clock microseconds of the most recent apply (gauge).
+        last_apply_micros: u64, "µs, gauge";
+        /// Wall-clock microseconds summed over all applies.
+        total_apply_micros: u64, "µs";
+        /// Request frames handled by the service (not bounced by
+        /// backpressure).
+        requests: u64, "count";
+        /// Lines rejected before reaching the service (parse errors, overlong
+        /// lines).
+        frames_rejected: u64, "count";
+        /// Requests bounced by backpressure (queue full).
+        overloaded: u64, "count";
+        /// Provisional admission checks run.
+        admission_checks: u64, "count";
+        /// Pending arrivals provisionally admitted.
+        admitted: u64, "count";
+        /// Pending arrivals provisionally dropped.
+        admission_rejects: u64, "count";
+        /// Sequenced requests waiting for the pending-batch lock or holding
+        /// it (gauge).
+        queue_depth: usize, "count, gauge";
+        /// Capacity of the bounded request queue.
+        queue_capacity: usize, "count";
+        /// Committed certified lower bound.
+        utility: f64, "utility";
+        /// Committed certified upper bound (`∞` encodes as `null`).
+        upper_bound: f64 => Bound, "utility";
+        /// Committed relative certified gap in `[0, 1]`.
+        gap_fraction: f64, "ratio 0–1, gauge";
+        /// Worker threads of the process-wide solve pool.
+        pool_workers: u64, "count";
+        /// Batches queued or executing in the solve pool (gauge).
+        pool_depth: u64, "count, gauge";
+        /// Apply epochs submitted but not yet committed.
+        apply_queue_lag: u64, "count, gauge";
+        /// Last apply epoch handed out.
+        epoch_submitted: u64, "count";
+        /// Last apply epoch committed by the solver thread.
+        epoch_committed: u64, "count";
+        /// The epoch currently applying on the solver thread (0 = none).
+        epoch_in_flight: u64, "count, gauge";
+        /// Instance lane layout of the committed model: `"exact"` (bit-exact
+        /// `f64` lanes) or `"compact"` (quantized `u32`/`f32` lanes).
+        lane_mode: String, "string";
+        /// Peak resident set size of the serving process in bytes (`VmHWM`;
+        /// 0 where the platform does not expose it).
+        peak_rss_bytes: u64, "bytes, gauge";
+        /// Applies whose soft solve budget tripped (engine).
+        budget_soft_trips: u64, "count";
+        /// Applies whose hard solve budget tripped (engine).
+        budget_hard_trips: u64, "count";
+        /// Applies that committed (or shed) with degraded quality (engine).
+        degraded_applies: u64, "count";
+        /// Fraction of the committed upper bound attributable to skipped
+        /// (stale) shards, in `[0, 1]` (gauge; 0 when nothing is stale).
+        stale_gap_fraction: f64, "ratio 0–1, gauge";
+        /// Escalated full re-solves deferred to background maintenance
+        /// (engine).
+        deferred_full_resolves: u64, "count";
+    }
 }
 
 /// One server response frame.
@@ -404,7 +500,7 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Value construction helpers
+// Value helpers
 // ---------------------------------------------------------------------------
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -420,45 +516,16 @@ fn idx(n: usize) -> Value {
     Value::Number(n as f64)
 }
 
-fn count(n: u64) -> Value {
-    Value::Number(n as f64)
-}
-
-/// `∞` encodes as `null` (JSON has no infinity).
-fn bound(x: f64) -> Value {
-    if x.is_finite() {
-        Value::Number(x)
-    } else {
-        Value::Null
-    }
-}
-
-fn indices(xs: &[usize]) -> Value {
-    Value::Array(xs.iter().map(|&x| idx(x)).collect())
-}
-
-// ---------------------------------------------------------------------------
-// Value extraction helpers
-// ---------------------------------------------------------------------------
-
 fn need<'v>(value: &'v Value, key: &str) -> Result<&'v Value, FrameError> {
     value
         .get(key)
         .ok_or_else(|| FrameError::parse(format!("missing field `{key}`")))
 }
 
-fn need_index(value: &Value, key: &str) -> Result<usize, FrameError> {
-    usize::from_value(need(value, key)?)
-        .map_err(|e| FrameError::parse(format!("field `{key}`: {e}")))
-}
-
-fn need_f64(value: &Value, key: &str) -> Result<f64, FrameError> {
-    f64::from_value(need(value, key)?).map_err(|e| FrameError::parse(format!("field `{key}`: {e}")))
-}
-
-fn need_bool(value: &Value, key: &str) -> Result<bool, FrameError> {
-    bool::from_value(need(value, key)?)
-        .map_err(|e| FrameError::parse(format!("field `{key}`: {e}")))
+/// Decodes the field `key` of an object with codec `C` (a plain type, or
+/// [`Bound`]).
+fn field<C: Codec>(value: &Value, key: &str) -> Result<C::T, FrameError> {
+    C::decode(need(value, key)?).map_err(|e| FrameError::parse(format!("field `{key}`: {e}")))
 }
 
 fn need_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, FrameError> {
@@ -471,21 +538,14 @@ fn need_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, FrameError> {
     }
 }
 
-/// `null` decodes as `∞` where the spec allows an unbounded value.
-fn need_bound(value: &Value, key: &str) -> Result<f64, FrameError> {
+fn need_array<'v>(value: &'v Value, key: &str) -> Result<&'v [Value], FrameError> {
     match need(value, key)? {
-        Value::Null => Ok(f64::INFINITY),
-        Value::Number(x) => Ok(*x),
+        Value::Array(items) => Ok(items),
         other => Err(FrameError::parse(format!(
-            "field `{key}`: expected number or null, found {}",
+            "field `{key}`: expected array, found {}",
             other.kind()
         ))),
     }
-}
-
-fn need_indices(value: &Value, key: &str) -> Result<Vec<usize>, FrameError> {
-    Vec::<usize>::from_value(need(value, key)?)
-        .map_err(|e| FrameError::parse(format!("field `{key}`: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -516,7 +576,7 @@ pub fn update_to_value(update: &Update) -> Value {
         Update::BudgetChange { measure, budget } => obj(vec![
             ("kind", Value::String("budget".into())),
             ("measure", idx(measure)),
-            ("budget", bound(budget)),
+            ("budget", Bound::encode(&budget)),
         ]),
     }
 }
@@ -527,21 +587,18 @@ pub fn update_to_value(update: &Update) -> Value {
 ///
 /// Returns [`FrameError`] on an unknown `kind` or missing/mistyped field.
 pub fn update_from_value(value: &Value) -> Result<Update, FrameError> {
+    let stream = || field::<usize>(value, "stream").map(StreamId::new);
     match need_str(value, "kind")? {
-        "arrive" => Ok(Update::StreamArrival(StreamId::new(need_index(
-            value, "stream",
-        )?))),
-        "depart" => Ok(Update::StreamDeparture(StreamId::new(need_index(
-            value, "stream",
-        )?))),
+        "arrive" => Ok(Update::StreamArrival(stream()?)),
+        "depart" => Ok(Update::StreamDeparture(stream()?)),
         "interest" => Ok(Update::InterestChange {
-            user: UserId::new(need_index(value, "user")?),
-            stream: StreamId::new(need_index(value, "stream")?),
-            weight: need_f64(value, "weight")?,
+            user: UserId::new(field::<usize>(value, "user")?),
+            stream: stream()?,
+            weight: field::<f64>(value, "weight")?,
         }),
         "budget" => Ok(Update::BudgetChange {
-            measure: need_index(value, "measure")?,
-            budget: need_bound(value, "budget")?,
+            measure: field::<usize>(value, "measure")?,
+            budget: field::<Bound>(value, "budget")?,
         }),
         other => Err(FrameError::parse(format!("unknown update kind `{other}`"))),
     }
@@ -628,16 +685,7 @@ pub fn parse_request(line: &str) -> Result<Request, FrameError> {
 pub fn request_from_value(value: &Value) -> Result<Request, FrameError> {
     match need_str(value, "op")? {
         "update" => {
-            let items = match need(value, "updates")? {
-                Value::Array(items) => items,
-                other => {
-                    return Err(FrameError::parse(format!(
-                        "field `updates`: expected array, found {}",
-                        other.kind()
-                    )))
-                }
-            };
-            let updates = items
+            let updates = need_array(value, "updates")?
                 .iter()
                 .map(update_from_value)
                 .collect::<Result<Vec<_>, _>>()?;
@@ -651,10 +699,10 @@ pub fn request_from_value(value: &Value) -> Result<Request, FrameError> {
         "apply" => Ok(Request::Apply),
         "query" => match (value.get("user"), value.get("stream")) {
             (Some(_), None) => Ok(Request::QueryUser {
-                user: need_index(value, "user")?,
+                user: field::<usize>(value, "user")?,
             }),
             (None, Some(_)) => Ok(Request::QueryStream {
-                stream: need_index(value, "stream")?,
+                stream: field::<usize>(value, "stream")?,
             }),
             _ => Err(FrameError::parse(
                 "query needs exactly one of `user` or `stream`",
@@ -675,196 +723,20 @@ pub fn request_from_value(value: &Value) -> Result<Request, FrameError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-fn admission_to_value(a: &Admission) -> Value {
-    obj(vec![
-        ("stream", idx(a.stream)),
-        ("admitted", Value::Bool(a.admitted)),
-        ("users", indices(&a.users)),
-        ("gained", Value::Number(a.gained)),
-    ])
+fn admissions_to_value(admissions: &[Admission]) -> Value {
+    Value::Array(admissions.iter().map(|a| obj(a.entries())).collect())
 }
 
-fn admission_from_value(value: &Value) -> Result<Admission, FrameError> {
-    Ok(Admission {
-        stream: need_index(value, "stream")?,
-        admitted: need_bool(value, "admitted")?,
-        users: need_indices(value, "users")?,
-        gained: need_f64(value, "gained")?,
-    })
-}
-
-fn outcome_to_value(o: &WireOutcome) -> Value {
-    obj(vec![
-        ("updates_applied", idx(o.updates_applied)),
-        ("num_shards", idx(o.num_shards)),
-        ("dirty_shards", idx(o.dirty_shards)),
-        ("resolved_shards", idx(o.resolved_shards)),
-        ("full_resolve", Value::Bool(o.full_resolve)),
-        ("utility", Value::Number(o.utility)),
-        ("upper_bound", bound(o.upper_bound)),
-        ("gap_fraction", Value::Number(o.gap_fraction)),
-        ("cut_edges", idx(o.cut_edges)),
-        ("cut_mass", Value::Number(o.cut_mass)),
-        ("repaired_streams", idx(o.repaired_streams)),
-    ])
-}
-
-fn outcome_from_value(value: &Value) -> Result<WireOutcome, FrameError> {
-    Ok(WireOutcome {
-        updates_applied: need_index(value, "updates_applied")?,
-        num_shards: need_index(value, "num_shards")?,
-        dirty_shards: need_index(value, "dirty_shards")?,
-        resolved_shards: need_index(value, "resolved_shards")?,
-        full_resolve: need_bool(value, "full_resolve")?,
-        utility: need_f64(value, "utility")?,
-        upper_bound: need_bound(value, "upper_bound")?,
-        gap_fraction: need_f64(value, "gap_fraction")?,
-        cut_edges: need_index(value, "cut_edges")?,
-        cut_mass: need_f64(value, "cut_mass")?,
-        repaired_streams: need_index(value, "repaired_streams")?,
-    })
-}
-
-impl Serialize for HealthSnapshot {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("status", Value::String(self.status.clone())),
-            ("live_streams", idx(self.live_streams)),
-            ("num_streams", idx(self.num_streams)),
-            ("num_users", idx(self.num_users)),
-            ("pending_updates", idx(self.pending_updates)),
-            ("queue_depth", idx(self.queue_depth)),
-            ("queue_capacity", idx(self.queue_capacity)),
-            (
-                "full_resolve_scheduled",
-                Value::Bool(self.full_resolve_scheduled),
-            ),
-            ("apply_queue_lag", count(self.apply_queue_lag)),
-            ("epoch_in_flight", count(self.epoch_in_flight)),
-        ])
-    }
-}
-
-impl Deserialize for HealthSnapshot {
-    fn from_value(value: &Value) -> Result<Self, serde::DeError> {
-        let shape = |e: FrameError| serde::DeError(e.message);
-        Ok(HealthSnapshot {
-            status: need_str(value, "status").map_err(shape)?.to_string(),
-            live_streams: need_index(value, "live_streams").map_err(shape)?,
-            num_streams: need_index(value, "num_streams").map_err(shape)?,
-            num_users: need_index(value, "num_users").map_err(shape)?,
-            pending_updates: need_index(value, "pending_updates").map_err(shape)?,
-            queue_depth: need_index(value, "queue_depth").map_err(shape)?,
-            queue_capacity: need_index(value, "queue_capacity").map_err(shape)?,
-            full_resolve_scheduled: need_bool(value, "full_resolve_scheduled").map_err(shape)?,
-            apply_queue_lag: u64::from_value(need(value, "apply_queue_lag").map_err(shape)?)
-                .map_err(|e| serde::DeError(format!("field `apply_queue_lag`: {e}")))?,
-            epoch_in_flight: u64::from_value(need(value, "epoch_in_flight").map_err(shape)?)
-                .map_err(|e| serde::DeError(format!("field `epoch_in_flight`: {e}")))?,
-        })
-    }
-}
-
-impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("applies", count(self.applies)),
-            ("updates_applied", count(self.updates_applied)),
-            ("full_resolves", count(self.full_resolves)),
-            ("resolved_shards", count(self.resolved_shards)),
-            ("shard_slots", count(self.shard_slots)),
-            ("dirty_fraction", Value::Number(self.dirty_fraction)),
-            ("super_shards", count(self.super_shards)),
-            (
-                "dirty_super_fraction",
-                Value::Number(self.dirty_super_fraction),
-            ),
-            ("inner_cache_hits", count(self.inner_cache_hits)),
-            ("inner_cache_misses", count(self.inner_cache_misses)),
-            ("rejected_batches", count(self.rejected_batches)),
-            ("rejected_updates", count(self.rejected_updates)),
-            ("last_apply_micros", count(self.last_apply_micros)),
-            ("total_apply_micros", count(self.total_apply_micros)),
-            ("requests", count(self.requests)),
-            ("frames_rejected", count(self.frames_rejected)),
-            ("overloaded", count(self.overloaded)),
-            ("admission_checks", count(self.admission_checks)),
-            ("admitted", count(self.admitted)),
-            ("admission_rejects", count(self.admission_rejects)),
-            ("queue_depth", idx(self.queue_depth)),
-            ("queue_capacity", idx(self.queue_capacity)),
-            ("utility", Value::Number(self.utility)),
-            ("upper_bound", bound(self.upper_bound)),
-            ("gap_fraction", Value::Number(self.gap_fraction)),
-            ("pool_workers", count(self.pool_workers)),
-            ("pool_depth", count(self.pool_depth)),
-            ("apply_queue_lag", count(self.apply_queue_lag)),
-            ("epoch_submitted", count(self.epoch_submitted)),
-            ("epoch_committed", count(self.epoch_committed)),
-            ("epoch_in_flight", count(self.epoch_in_flight)),
-            ("lane_mode", Value::String(self.lane_mode.clone())),
-            ("peak_rss_bytes", count(self.peak_rss_bytes)),
-            ("budget_soft_trips", count(self.budget_soft_trips)),
-            ("budget_hard_trips", count(self.budget_hard_trips)),
-            ("degraded_applies", count(self.degraded_applies)),
-            ("stale_gap_fraction", Value::Number(self.stale_gap_fraction)),
-            ("deferred_full_resolves", count(self.deferred_full_resolves)),
-        ])
-    }
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn from_value(value: &Value) -> Result<Self, serde::DeError> {
-        let shape = |e: FrameError| serde::DeError(e.message);
-        let c = |key| -> Result<u64, serde::DeError> {
-            u64::from_value(need(value, key).map_err(shape)?)
-                .map_err(|e| serde::DeError(format!("field `{key}`: {e}")))
-        };
-        Ok(MetricsSnapshot {
-            applies: c("applies")?,
-            updates_applied: c("updates_applied")?,
-            full_resolves: c("full_resolves")?,
-            resolved_shards: c("resolved_shards")?,
-            shard_slots: c("shard_slots")?,
-            dirty_fraction: need_f64(value, "dirty_fraction").map_err(shape)?,
-            super_shards: c("super_shards")?,
-            dirty_super_fraction: need_f64(value, "dirty_super_fraction").map_err(shape)?,
-            inner_cache_hits: c("inner_cache_hits")?,
-            inner_cache_misses: c("inner_cache_misses")?,
-            rejected_batches: c("rejected_batches")?,
-            rejected_updates: c("rejected_updates")?,
-            last_apply_micros: c("last_apply_micros")?,
-            total_apply_micros: c("total_apply_micros")?,
-            requests: c("requests")?,
-            frames_rejected: c("frames_rejected")?,
-            overloaded: c("overloaded")?,
-            admission_checks: c("admission_checks")?,
-            admitted: c("admitted")?,
-            admission_rejects: c("admission_rejects")?,
-            queue_depth: need_index(value, "queue_depth").map_err(shape)?,
-            queue_capacity: need_index(value, "queue_capacity").map_err(shape)?,
-            utility: need_f64(value, "utility").map_err(shape)?,
-            upper_bound: need_bound(value, "upper_bound").map_err(shape)?,
-            gap_fraction: need_f64(value, "gap_fraction").map_err(shape)?,
-            pool_workers: c("pool_workers")?,
-            pool_depth: c("pool_depth")?,
-            apply_queue_lag: c("apply_queue_lag")?,
-            epoch_submitted: c("epoch_submitted")?,
-            epoch_committed: c("epoch_committed")?,
-            epoch_in_flight: c("epoch_in_flight")?,
-            lane_mode: need_str(value, "lane_mode").map_err(shape)?.to_string(),
-            peak_rss_bytes: c("peak_rss_bytes")?,
-            budget_soft_trips: c("budget_soft_trips")?,
-            budget_hard_trips: c("budget_hard_trips")?,
-            degraded_applies: c("degraded_applies")?,
-            stale_gap_fraction: need_f64(value, "stale_gap_fraction").map_err(shape)?,
-            deferred_full_resolves: c("deferred_full_resolves")?,
-        })
-    }
+fn admissions_from_value(value: &Value) -> Result<Vec<Admission>, FrameError> {
+    need_array(value, "admissions")?
+        .iter()
+        .map(Admission::decode)
+        .collect()
 }
 
 /// Converts a response to its canonical wire object.
 pub fn response_to_value(response: &Response) -> Value {
+    // The one splice: `ok` and `kind` ahead of the body's keys.
     let ok = |kind: &str, mut rest: Vec<(&str, Value)>| {
         let mut entries = vec![
             ("ok", Value::Bool(true)),
@@ -885,16 +757,11 @@ pub fn response_to_value(response: &Response) -> Value {
         } => {
             let mut rest = vec![("pending", idx(*pending))];
             if let Some(admissions) = admissions {
-                rest.push((
-                    "admissions",
-                    Value::Array(admissions.iter().map(admission_to_value).collect()),
-                ));
+                rest.push(("admissions", admissions_to_value(admissions)));
             }
             ok("pushed", rest)
         }
-        Response::Applied { outcome } => {
-            ok("applied", vec![("outcome", outcome_to_value(outcome))])
-        }
+        Response::Applied { outcome } => ok("applied", vec![("outcome", obj(outcome.entries()))]),
         Response::Certificate {
             utility,
             upper_bound,
@@ -903,7 +770,7 @@ pub fn response_to_value(response: &Response) -> Value {
             "certificate",
             vec![
                 ("utility", Value::Number(*utility)),
-                ("upper_bound", bound(*upper_bound)),
+                ("upper_bound", Bound::encode(upper_bound)),
                 ("gap_fraction", Value::Number(*gap_fraction)),
             ],
         ),
@@ -915,7 +782,7 @@ pub fn response_to_value(response: &Response) -> Value {
             "user",
             vec![
                 ("user", idx(*user)),
-                ("streams", indices(streams)),
+                ("streams", streams.to_value()),
                 ("utility", Value::Number(*utility)),
             ],
         ),
@@ -928,48 +795,22 @@ pub fn response_to_value(response: &Response) -> Value {
             vec![
                 ("stream", idx(*stream)),
                 ("live", Value::Bool(*live)),
-                ("users", indices(users)),
+                ("users", users.to_value()),
             ],
         ),
         Response::Allocation { utility, users } => ok(
             "allocation",
             vec![
                 ("utility", Value::Number(*utility)),
-                (
-                    "users",
-                    Value::Array(users.iter().map(|u| indices(u)).collect()),
-                ),
+                ("users", users.to_value()),
             ],
         ),
         Response::Admissions { admissions } => ok(
             "admissions",
-            vec![(
-                "admissions",
-                Value::Array(admissions.iter().map(admission_to_value).collect()),
-            )],
+            vec![("admissions", admissions_to_value(admissions))],
         ),
-        Response::Health(h) => {
-            let Value::Object(body) = h.to_value() else {
-                unreachable!("health serializes as an object");
-            };
-            let mut entries = vec![
-                ("ok".to_string(), Value::Bool(true)),
-                ("kind".to_string(), Value::String("health".into())),
-            ];
-            entries.extend(body);
-            Value::Object(entries)
-        }
-        Response::Metrics(m) => {
-            let Value::Object(body) = m.to_value() else {
-                unreachable!("metrics serializes as an object");
-            };
-            let mut entries = vec![
-                ("ok".to_string(), Value::Bool(true)),
-                ("kind".to_string(), Value::String("metrics".into())),
-            ];
-            entries.extend(body);
-            Value::Object(entries)
-        }
+        Response::Health(h) => ok("health", h.entries()),
+        Response::Metrics(m) => ok("metrics", m.entries()),
         Response::Resolve { scheduled } => {
             ok("resolve", vec![("scheduled", Value::Bool(*scheduled))])
         }
@@ -1000,7 +841,7 @@ pub fn parse_response(line: &str) -> Result<Response, FrameError> {
 ///
 /// See [`parse_response`].
 pub fn response_from_value(value: &Value) -> Result<Response, FrameError> {
-    if !need_bool(value, "ok")? {
+    if !field::<bool>(value, "ok")? {
         let code = need_str(value, "code")?;
         return Ok(Response::Error {
             code: ErrorCode::from_str(code)
@@ -1010,80 +851,41 @@ pub fn response_from_value(value: &Value) -> Result<Response, FrameError> {
     }
     match need_str(value, "kind")? {
         "pushed" => Ok(Response::Pushed {
-            pending: need_index(value, "pending")?,
+            pending: field::<usize>(value, "pending")?,
             admissions: match value.get("admissions") {
                 None => None,
-                Some(Value::Array(items)) => Some(
-                    items
-                        .iter()
-                        .map(admission_from_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-                Some(other) => {
-                    return Err(FrameError::parse(format!(
-                        "field `admissions`: expected array, found {}",
-                        other.kind()
-                    )))
-                }
+                Some(_) => Some(admissions_from_value(value)?),
             },
         }),
         "applied" => Ok(Response::Applied {
-            outcome: outcome_from_value(need(value, "outcome")?)?,
+            outcome: WireOutcome::decode(need(value, "outcome")?)?,
         }),
         "certificate" => Ok(Response::Certificate {
-            utility: need_f64(value, "utility")?,
-            upper_bound: need_bound(value, "upper_bound")?,
-            gap_fraction: need_f64(value, "gap_fraction")?,
+            utility: field::<f64>(value, "utility")?,
+            upper_bound: field::<Bound>(value, "upper_bound")?,
+            gap_fraction: field::<f64>(value, "gap_fraction")?,
         }),
         "user" => Ok(Response::UserAllocation {
-            user: need_index(value, "user")?,
-            streams: need_indices(value, "streams")?,
-            utility: need_f64(value, "utility")?,
+            user: field::<usize>(value, "user")?,
+            streams: field::<Vec<usize>>(value, "streams")?,
+            utility: field::<f64>(value, "utility")?,
         }),
         "stream" => Ok(Response::StreamAllocation {
-            stream: need_index(value, "stream")?,
-            live: need_bool(value, "live")?,
-            users: need_indices(value, "users")?,
+            stream: field::<usize>(value, "stream")?,
+            live: field::<bool>(value, "live")?,
+            users: field::<Vec<usize>>(value, "users")?,
         }),
-        "allocation" => {
-            let users = match need(value, "users")? {
-                Value::Array(items) => items
-                    .iter()
-                    .map(Vec::<usize>::from_value)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| FrameError::parse(format!("field `users`: {e}")))?,
-                other => {
-                    return Err(FrameError::parse(format!(
-                        "field `users`: expected array, found {}",
-                        other.kind()
-                    )))
-                }
-            };
-            Ok(Response::Allocation {
-                utility: need_f64(value, "utility")?,
-                users,
-            })
-        }
-        "admissions" => match need(value, "admissions")? {
-            Value::Array(items) => Ok(Response::Admissions {
-                admissions: items
-                    .iter()
-                    .map(admission_from_value)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            other => Err(FrameError::parse(format!(
-                "field `admissions`: expected array, found {}",
-                other.kind()
-            ))),
-        },
-        "health" => Ok(Response::Health(
-            HealthSnapshot::from_value(value).map_err(|e| FrameError::parse(e.0))?,
-        )),
-        "metrics" => Ok(Response::Metrics(Box::new(
-            MetricsSnapshot::from_value(value).map_err(|e| FrameError::parse(e.0))?,
-        ))),
+        "allocation" => Ok(Response::Allocation {
+            utility: field::<f64>(value, "utility")?,
+            users: field::<Vec<Vec<usize>>>(value, "users")?,
+        }),
+        "admissions" => Ok(Response::Admissions {
+            admissions: admissions_from_value(value)?,
+        }),
+        "health" => Ok(Response::Health(HealthSnapshot::decode(value)?)),
+        "metrics" => Ok(Response::Metrics(Box::new(MetricsSnapshot::decode(value)?))),
         "resolve" => Ok(Response::Resolve {
-            scheduled: need_bool(value, "scheduled")?,
+            scheduled: field::<bool>(value, "scheduled")?,
         }),
         "shutdown" => Ok(Response::Shutdown),
         other => Err(FrameError::parse(format!(
@@ -1167,6 +969,7 @@ mod tests {
                     cut_edges: 0,
                     cut_mass: 0.0,
                     repaired_streams: 1,
+                    stale: false,
                 },
             },
             Response::Certificate {
@@ -1279,6 +1082,44 @@ mod tests {
             let line = print_response(&response);
             let back = parse_response(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, response, "{line}");
+        }
+    }
+
+    /// `value` with `key` removed from every object in it.
+    fn without(value: &Value, key: &str) -> Value {
+        match value {
+            Value::Object(entries) => Value::Object(
+                entries
+                    .iter()
+                    .filter(|(k, _)| k != key)
+                    .map(|(k, v)| (k.clone(), without(v, key)))
+                    .collect(),
+            ),
+            Value::Array(items) => Value::Array(items.iter().map(|v| without(v, key)).collect()),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn a_frame_missing_any_body_row_fails_to_decode() {
+        let frames: Vec<Value> = sample_responses().iter().map(response_to_value).collect();
+        for (kind, fields) in [
+            ("pushed", Admission::FIELDS),
+            ("applied", WireOutcome::FIELDS),
+            ("health", HealthSnapshot::FIELDS),
+            ("metrics", MetricsSnapshot::FIELDS),
+        ] {
+            // The first sample of each kind carries its body (the first
+            // `pushed` one an admission).
+            let frame = frames
+                .iter()
+                .find(|f| f.get("kind") == Some(&Value::String(kind.into())))
+                .unwrap();
+            response_from_value(frame).unwrap();
+            for (key, _) in fields {
+                let err = response_from_value(&without(frame, key)).expect_err(key);
+                assert_eq!(err.message, format!("missing field `{key}`"), "{kind}");
+            }
         }
     }
 

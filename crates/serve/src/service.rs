@@ -132,6 +132,25 @@ fn draining_error() -> Response {
     }
 }
 
+impl From<IngestOutcome> for WireOutcome {
+    fn from(o: IngestOutcome) -> Self {
+        WireOutcome {
+            updates_applied: o.updates_applied,
+            num_shards: o.num_shards,
+            dirty_shards: o.dirty_shards,
+            resolved_shards: o.resolved_shards,
+            full_resolve: o.full_resolve,
+            utility: o.utility,
+            upper_bound: o.upper_bound,
+            gap_fraction: o.gap_fraction,
+            cut_edges: o.cut_edges,
+            cut_mass: o.cut_mass,
+            repaired_streams: o.repaired_streams,
+            stale: o.stale,
+        }
+    }
+}
+
 fn admission(offer: &OfferOutcome) -> Admission {
     Admission {
         stream: offer.stream.index(),
@@ -524,6 +543,7 @@ pub fn peak_rss_bytes() -> u64 {
 mod tests {
     use super::*;
     use mmd_core::algo::shard::solve_sharded;
+    use mmd_core::govern::SolveBudget;
     use mmd_core::ingest::Update;
 
     fn demo_instance() -> Instance {
@@ -685,6 +705,32 @@ mod tests {
             panic!("the earlier frame alone must apply");
         };
         assert_eq!(outcome.updates_applied, 1);
+    }
+
+    #[test]
+    fn a_shed_apply_answers_stale_and_leaves_nothing_pending() {
+        let mut config = ServeConfig::default();
+        config.ingest.budget = SolveBudget::default().with_hard_work(0); // default action: shed
+        let svc = Service::new(demo_instance(), config).unwrap();
+        let before = svc.certificate();
+        svc.handle(&depart(0));
+        let Response::Applied { outcome } = svc.handle(&Request::Apply) else {
+            panic!("a shed apply still answers `applied`");
+        };
+        assert!(outcome.stale, "{outcome:?}");
+        assert_eq!(outcome.updates_applied, 0);
+        assert_eq!(outcome.utility.to_bits(), before.utility.to_bits());
+        assert_eq!(outcome.upper_bound.to_bits(), before.upper_bound.to_bits());
+        assert_eq!(
+            outcome.gap_fraction.to_bits(),
+            before.gap_fraction.to_bits()
+        );
+        assert_eq!(svc.health().pending_updates, 0);
+        // The shed batch was discarded, not left to ride along with the
+        // next client's epoch.
+        let engine = svc.into_engine();
+        assert!(engine.pending().is_empty(), "{:?}", engine.pending());
+        assert_eq!(engine.num_live(), 6);
     }
 
     #[test]

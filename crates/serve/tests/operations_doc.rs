@@ -3,14 +3,17 @@
 //! suite serializes a real frame from a live `Service` and cross-checks
 //! the field inventory both ways — every wire key must be documented
 //! (backticked in a table row), and every field-looking table row must
-//! name a real wire key. A prose pass then pins the operator-facing
-//! claims that regress silently (units, the 0-as-unknown RSS sentinel,
-//! the governance tuning section).
+//! name a real wire key. Each row's units column must equal the unit the
+//! field's row in `MetricsSnapshot`'s table declares (`FIELDS`), again
+//! both ways. A prose pass then pins the operator-facing claims that
+//! regress silently (the 0-as-unknown RSS sentinel, the governance tuning
+//! section).
 
 use mmd_serve::protocol::{response_to_value, Response};
 use mmd_serve::service::{ServeConfig, Service};
+use mmd_serve::MetricsSnapshot;
 use serde::Value;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 fn operations_doc() -> String {
@@ -34,14 +37,16 @@ fn wire_keys() -> Vec<String> {
         .collect()
 }
 
-/// Fields documented by the runbook: the first backticked token of every
-/// markdown table row (`| `field` | ... |`).
-fn documented_fields(doc: &str) -> BTreeSet<String> {
+/// Fields documented by the runbook with their units: the first
+/// backticked token and the second column of every markdown table row
+/// (`| `field` | units | ... |`).
+fn documented_units(doc: &str) -> BTreeMap<String, String> {
     doc.lines()
         .filter_map(|line| {
             let row = line.trim().strip_prefix("| `")?;
-            let (field, _) = row.split_once('`')?;
-            Some(field.to_string())
+            let (field, rest) = row.split_once('`')?;
+            let units = rest.split('|').nth(1)?.trim();
+            Some((field.to_string(), units.to_string()))
         })
         .collect()
 }
@@ -49,7 +54,7 @@ fn documented_fields(doc: &str) -> BTreeSet<String> {
 #[test]
 fn every_metrics_field_is_documented_and_nothing_else() {
     let doc = operations_doc();
-    let documented = documented_fields(&doc);
+    let documented: BTreeSet<String> = documented_units(&doc).into_keys().collect();
     let keys = wire_keys();
     assert!(
         keys.len() >= 30,
@@ -71,6 +76,36 @@ fn every_metrics_field_is_documented_and_nothing_else() {
              of the real metrics frame (stale doc or typo)"
         );
     }
+}
+
+#[test]
+fn every_units_column_matches_the_field_table() {
+    let documented = documented_units(&operations_doc());
+    let declared: BTreeMap<String, String> = MetricsSnapshot::FIELDS
+        .iter()
+        .map(|&(key, unit)| (key.to_string(), unit.to_string()))
+        .collect();
+    for (key, unit) in &declared {
+        assert_eq!(
+            documented.get(key),
+            Some(unit),
+            "docs/OPERATIONS.md units of `{key}` differ from its `MetricsSnapshot` row"
+        );
+    }
+    for (field, units) in &documented {
+        assert_eq!(
+            declared.get(field),
+            Some(units),
+            "docs/OPERATIONS.md documents `{field}` in `{units}`, which no \
+             `MetricsSnapshot` row declares"
+        );
+    }
+    // The table is the frame: same keys, same order.
+    let table: Vec<&str> = MetricsSnapshot::FIELDS
+        .iter()
+        .map(|&(key, _)| key)
+        .collect();
+    assert_eq!(table, wire_keys());
 }
 
 #[test]
