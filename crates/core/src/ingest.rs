@@ -102,7 +102,10 @@
 //! A panic inside a re-solve does not take the engine down:
 //! [`apply`](IngestEngine::apply) and
 //! [`refresh_full`](IngestEngine::refresh_full) catch it and return
-//! [`IngestError::SolverPanic`] with the committed state untouched.
+//! [`IngestError::SolverPanic`] with the committed state untouched. A
+//! panic elsewhere on the async solver thread ends that thread; its
+//! waiters and later submitters then get `SolverPanic` instead of
+//! blocking.
 //!
 //! [`solve_sharded`]: crate::algo::shard::solve_sharded
 //! [`solve_batch`]: crate::algo::batch::solve_batch
@@ -824,6 +827,20 @@ pub struct IngestEngine {
     /// 1-based ordinal (committed plus rejected) panics.
     #[cfg(test)]
     panic_on_apply: Option<u64>,
+    /// Fault injection: taking the snapshot of this epoch panics, outside
+    /// the re-solve's `catch_panic` (see [`PANIC_ON_PUBLISH`]).
+    #[cfg(any(test, feature = "fault-injection"))]
+    panic_on_publish: Option<u64>,
+}
+
+#[cfg(any(test, feature = "fault-injection"))]
+thread_local! {
+    /// Fault injection for tests: an engine created on a thread where this
+    /// is `Some(epoch)` panics when it takes that epoch's snapshot. On an
+    /// [`AsyncIngest`](crate::AsyncIngest) that is the publish after the
+    /// epoch's apply, so the solver thread dies there.
+    pub static PANIC_ON_PUBLISH: std::cell::Cell<Option<u64>> =
+        const { std::cell::Cell::new(None) };
 }
 
 /// Runs `resolve`, turning a panic inside it into
@@ -865,6 +882,8 @@ impl IngestEngine {
             deferred_refresh: false,
             #[cfg(test)]
             panic_on_apply: None,
+            #[cfg(any(test, feature = "fault-injection"))]
+            panic_on_publish: PANIC_ON_PUBLISH.get(),
         };
         let touched = Touched::uniform(&engine.committed.base, true);
         // The initial solve is never governed: a serving frontend needs a
@@ -936,6 +955,8 @@ impl IngestEngine {
     /// `Assignment`.
     #[must_use]
     pub fn snapshot(&self, epoch: u64) -> IngestSnapshot {
+        #[cfg(any(test, feature = "fault-injection"))]
+        assert_ne!(self.panic_on_publish, Some(epoch), "injected publish fault");
         IngestSnapshot {
             epoch,
             ..self.committed.clone()

@@ -22,7 +22,8 @@
 //!   the synchronous path and, by the engine's equivalence contract, to a
 //!   from-scratch sharded solve (`tests/ingest_churn.rs` pins all three).
 //! * After each epoch the solver publishes an [`IngestSnapshot`] by
-//!   swapping an `Arc` behind a mutex — an atomic epoch swap. The
+//!   swapping an `Arc`, in the same step that records the epoch's outcome:
+//!   a waiter that sees its epoch also sees that epoch's snapshot. The
 //!   snapshot shares the engine's committed instance, model and
 //!   assignment, so publishing copies none of them. Readers
 //!   ([`AsyncIngest::snapshot`]) get either the previous or the new
@@ -31,8 +32,35 @@
 //! * Background maintenance has **one path**: whenever the epoch queue
 //!   drains, the solver runs [`IngestEngine::refresh_full`] if a refresh
 //!   was requested ([`AsyncIngest::request_refresh`]) or governance
-//!   deferred one (`DegradeAction::DeferFull`). A refresh takes no epoch
-//!   number; it republishes the snapshot at the current committed epoch.
+//!   deferred one (`DegradeAction::DeferFull`); one refresh serves both. A
+//!   refresh takes no epoch number; it republishes the snapshot at the
+//!   current committed epoch, also when it fails, since the failure is
+//!   counted in the engine's metrics.
+//!
+//! # One state
+//!
+//! Everything the threads share is one `QueueState` behind one mutex: the
+//! queue, the retained outcomes, the published snapshot, the epoch
+//! counters, the refresh request and done counts, and the `shutdown` and
+//! `solver_exited` flags. Each transition — submit, take, finish an epoch,
+//! finish a refresh, request a refresh, poll a waiter's epoch, shutdown,
+//! solver exit — is a plain `QueueState` method that takes no lock and
+//! starts no thread, and returns the condvar its caller must wake. The
+//! thread code only locks, steps and notifies, so every ordering argument
+//! is "one critical section"; a unit test enumerates every interleaving of
+//! a bounded event alphabet over the transitions. [`AsyncIngest::status`]
+//! reads one consistent cut of the counters.
+//!
+//! # A dead solver
+//!
+//! The engine turns a panic inside a re-solve into
+//! [`IngestError::SolverPanic`] for that epoch, and the solver goes on. A
+//! panic anywhere else on the solver thread ends it; a drop guard then
+//! marks the solver exited. From then on [`AsyncIngest::wait`] on any
+//! unfinished epoch returns `SolverPanic` instead of blocking, and
+//! [`AsyncIngest::apply_async`] refuses new epochs with the same error
+//! (the daemon answers both as `internal`). A lock poisoned by a panic is
+//! recovered: no transition can leave the state half-updated.
 //!
 //! `AsyncIngest` is `Sync`: any thread may submit, wait on an epoch
 //! ([`AsyncIngest::wait`]) and read snapshots. [`AsyncIngest::shutdown`]
@@ -43,9 +71,7 @@ use super::{
     IngestEngine, IngestError, IngestMetrics, IngestOutcome, IngestSnapshot, Universe, Update,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Retained per-epoch outcomes: entries older than the last
 /// `OUTCOME_WINDOW` committed epochs are pruned, so fire-and-forget
@@ -54,36 +80,172 @@ use std::thread::JoinHandle;
 /// behind gets [`IngestError::OutcomeExpired`] rather than a panic.
 const OUTCOME_WINDOW: u64 = 1024;
 
-struct QueueState {
+/// The [`IngestError::SolverPanic`] message for epochs a dead solver
+/// never finished.
+const SOLVER_EXITED: &str = "the ingest solver thread exited";
+
+/// The condvar a transition's caller notifies.
+enum Wake {
+    /// The solver, parked on `work_cv`.
+    Solver,
+    /// Waiters, parked on `done_cv`.
+    Waiters,
+}
+
+/// The solver's next job ([`QueueState::take`]).
+enum Job {
+    Apply(u64, Vec<Update>),
+    /// `Refresh(epoch, covers)`: refresh, republish at `epoch`, and mark
+    /// the first `covers` requests done.
+    Refresh(u64, u64),
+    /// Shutdown drained the queue: hand the engine back.
+    Exit,
+}
+
+/// The counters and flags of an [`AsyncIngest`], read as one consistent
+/// cut by [`AsyncIngest::status`]. Apply queue lag is
+/// `submitted − committed`; a refresh is pending while
+/// `refresh_requested > refresh_done`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AsyncStatus {
+    /// Last epoch handed out to a submitter.
+    pub submitted: u64,
+    /// Last epoch the solver finished processing (committed or rejected).
+    pub committed: u64,
+    /// The epoch applying on the solver thread, 0 when none is.
+    pub in_flight: u64,
+    /// Full re-solves requested so far.
+    pub refresh_requested: u64,
+    /// How many of those requests a finished refresh has covered.
+    pub refresh_done: u64,
+    /// Updates rejected by submit-side structural validation (the async
+    /// counterpart of the engine's push-time `rejected_updates`).
+    pub front_rejected_updates: u64,
+    /// Shutdown was requested.
+    pub shutdown: bool,
+    /// The solver thread has ended, by return or by unwind.
+    pub solver_exited: bool,
+}
+
+/// Everything submitters, waiters and the solver share. `S` is the
+/// published snapshot: `Arc<IngestSnapshot>`, or a plain marker in the
+/// exhaustive check.
+#[derive(Clone, Debug)]
+struct QueueState<S> {
     /// Validated batches, each with its epoch number.
     queue: VecDeque<(u64, Vec<Update>)>,
     outcomes: BTreeMap<u64, Result<IngestOutcome, Arc<IngestError>>>,
-    shutdown: bool,
+    snapshot: S,
+    status: AsyncStatus,
+}
+
+impl<S> QueueState<S> {
+    fn new(snapshot: S) -> Self {
+        QueueState {
+            queue: VecDeque::new(),
+            outcomes: BTreeMap::new(),
+            snapshot,
+            status: AsyncStatus::default(),
+        }
+    }
+
+    /// A submitter enqueues a validated batch as the next epoch.
+    fn submit(&mut self, updates: Vec<Update>) -> Result<(u64, Wake), IngestError> {
+        if self.status.solver_exited {
+            return Err(IngestError::SolverPanic(SOLVER_EXITED.into()));
+        }
+        self.status.submitted += 1;
+        self.queue.push_back((self.status.submitted, updates));
+        Ok((self.status.submitted, Wake::Solver))
+    }
+
+    /// The solver picks its next job, or `None` to park. Queued epochs
+    /// come first. At the drain point one refresh covers every request so
+    /// far and the engine's own deferred one (`refresh_wanted`) together.
+    fn take(&mut self, refresh_wanted: bool) -> Option<Job> {
+        let s = &mut self.status;
+        if let Some((epoch, updates)) = self.queue.pop_front() {
+            s.in_flight = epoch;
+            Some(Job::Apply(epoch, updates))
+        } else if s.shutdown {
+            Some(Job::Exit)
+        } else if s.refresh_requested > s.refresh_done || refresh_wanted {
+            Some(Job::Refresh(s.committed, s.refresh_requested))
+        } else {
+            None
+        }
+    }
+
+    /// The in-flight epoch ended (committed, rejected or panicked): record
+    /// its outcome, publish its snapshot, prune the retention window, all
+    /// in one step. Published on rejection too — the allocation is
+    /// unchanged but the metrics moved.
+    fn finish_epoch(&mut self, outcome: Result<IngestOutcome, IngestError>, snapshot: S) -> Wake {
+        let epoch = std::mem::take(&mut self.status.in_flight);
+        self.outcomes.insert(epoch, outcome.map_err(Arc::new));
+        self.outcomes.retain(|&e, _| e + OUTCOME_WINDOW >= epoch);
+        self.status.committed = epoch;
+        self.snapshot = snapshot;
+        Wake::Waiters
+    }
+
+    /// A refresh ended, failed or not: publish, then mark its requests
+    /// done, in one step. Nobody blocks on a refresh, so it wakes no one.
+    fn finish_refresh(&mut self, covers: u64, snapshot: S) {
+        self.snapshot = snapshot;
+        self.status.refresh_done = covers;
+    }
+
+    fn request_refresh(&mut self) -> Wake {
+        self.status.refresh_requested += 1;
+        Wake::Solver
+    }
+
+    /// A waiter's check on `epoch`: its outcome, expired, failed after the
+    /// solver exited, or `None` to keep waiting.
+    fn poll(&self, epoch: u64) -> Option<Result<IngestOutcome, Arc<IngestError>>> {
+        let error = match self.outcomes.get(&epoch) {
+            Some(outcome) => return Some(outcome.clone()),
+            None if self.status.committed >= epoch => IngestError::OutcomeExpired { epoch },
+            None if self.status.solver_exited => IngestError::SolverPanic(SOLVER_EXITED.into()),
+            None => return None,
+        };
+        Some(Err(Arc::new(error)))
+    }
+
+    fn shutdown(&mut self) -> Wake {
+        self.status.shutdown = true;
+        Wake::Solver
+    }
+
+    /// The solver thread ended: waiters on epochs it never finished fail.
+    fn solver_exit(&mut self) -> Wake {
+        self.status.solver_exited = true;
+        Wake::Waiters
+    }
 }
 
 /// State shared between submitters, waiters, and the solver thread.
+#[derive(Debug)]
 struct Shared {
-    state: Mutex<QueueState>,
+    state: Mutex<QueueState<Arc<IngestSnapshot>>>,
     /// Wakes the solver when work arrives or shutdown is requested.
     work_cv: Condvar,
-    /// Wakes waiters when an epoch's outcome lands.
+    /// Wakes waiters when an epoch's outcome lands or the solver exits.
     done_cv: Condvar,
-    /// The committed-state snapshot, swapped after every epoch.
-    snapshot: Mutex<Arc<IngestSnapshot>>,
-    /// Last epoch handed out to a submitter.
-    submitted: AtomicU64,
-    /// Last epoch the solver finished processing (committed or rejected).
-    committed: AtomicU64,
-    /// Epoch currently applying on the solver thread (0 = idle).
-    in_flight: AtomicU64,
-    /// Updates rejected by submit-side structural validation (the async
-    /// counterpart of the engine's push-time `rejected_updates`).
-    front_rejected_updates: AtomicU64,
-    /// Full re-solves requested so far (incremented under the queue lock,
-    /// so the solver cannot miss the wake-up).
-    refresh_requested: AtomicU64,
-    /// How many of those requests a finished refresh has covered.
-    refresh_done: AtomicU64,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, QueueState<Arc<IngestSnapshot>>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn notify(&self, wake: Wake) {
+        match wake {
+            Wake::Solver => self.work_cv.notify_all(),
+            Wake::Waiters => self.done_cv.notify_all(),
+        }
+    }
 }
 
 /// The asynchronous apply frontend (see the [module docs](self)).
@@ -94,17 +256,7 @@ struct Shared {
 pub struct AsyncIngest {
     shared: Arc<Shared>,
     universe: Universe,
-    solver: Option<JoinHandle<IngestEngine>>,
-}
-
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("submitted", &self.submitted.load(Ordering::Relaxed))
-            .field("committed", &self.committed.load(Ordering::Relaxed))
-            .field("in_flight", &self.in_flight.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
+    solver: Option<std::thread::JoinHandle<IngestEngine>>,
 }
 
 impl AsyncIngest {
@@ -112,34 +264,21 @@ impl AsyncIngest {
     /// (epoch 0) is the engine's committed state at the time of the call.
     #[must_use]
     pub fn new(engine: IngestEngine) -> Self {
-        let universe = engine.universe();
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                outcomes: BTreeMap::new(),
-                shutdown: false,
-            }),
+            state: Mutex::new(QueueState::new(Arc::new(engine.snapshot(0)))),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            snapshot: Mutex::new(Arc::new(engine.snapshot(0))),
-            submitted: AtomicU64::new(0),
-            committed: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            front_rejected_updates: AtomicU64::new(0),
-            refresh_requested: AtomicU64::new(0),
-            refresh_done: AtomicU64::new(0),
         });
-        let solver = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mmd-ingest-solver".into())
-                .spawn(move || solver_loop(engine, &shared))
-                .expect("spawning the ingest solver thread")
-        };
+        let solver_shared = Arc::clone(&shared);
         AsyncIngest {
+            universe: engine.universe(),
+            solver: Some(
+                std::thread::Builder::new()
+                    .name("mmd-ingest-solver".into())
+                    .spawn(move || solver_loop(engine, &solver_shared))
+                    .expect("spawning the ingest solver thread"),
+            ),
             shared,
-            universe,
-            solver: Some(solver),
         }
     }
 
@@ -147,7 +286,7 @@ impl AsyncIngest {
     /// re-solve; the `Arc` is cheap to clone and stable once returned.
     #[must_use]
     pub fn snapshot(&self) -> Arc<IngestSnapshot> {
-        Arc::clone(&self.shared.snapshot.lock().expect("snapshot lock"))
+        Arc::clone(&self.shared.lock().snapshot)
     }
 
     /// Validates `updates` structurally (all-or-nothing, exactly like
@@ -158,16 +297,14 @@ impl AsyncIngest {
     ///
     /// # Errors
     ///
-    /// Returns the first structural [`IngestError`] in the batch; nothing
-    /// is enqueued. Stateful rejections (budget coverage) surface later
-    /// through [`wait`](Self::wait) for this epoch.
+    /// Returns the first structural [`IngestError`] in the batch, or
+    /// [`IngestError::SolverPanic`] once the solver thread has exited;
+    /// nothing is enqueued. Stateful rejections (budget coverage) surface
+    /// later through [`wait`](Self::wait) for this epoch.
     pub fn apply_async(&self, updates: Vec<Update>) -> Result<u64, IngestError> {
         self.validate_batch(&updates)?;
-        let mut state = self.lock_state();
-        let epoch = self.shared.submitted.fetch_add(1, Ordering::AcqRel) + 1;
-        state.queue.push_back((epoch, updates));
-        drop(state);
-        self.shared.work_cv.notify_all();
+        let (epoch, wake) = self.shared.lock().submit(updates)?;
+        self.shared.notify(wake);
         Ok(epoch)
     }
 
@@ -180,15 +317,11 @@ impl AsyncIngest {
     ///
     /// Returns the first structural [`IngestError`] in the batch.
     pub fn validate_batch(&self, updates: &[Update]) -> Result<(), IngestError> {
-        for update in updates {
-            if let Err(e) = self.universe.validate(update) {
-                self.shared
-                    .front_rejected_updates
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
+        let validated = updates.iter().try_for_each(|u| self.universe.validate(u));
+        if validated.is_err() {
+            self.shared.lock().status.front_rejected_updates += 1;
         }
-        Ok(())
+        validated
     }
 
     /// Asks the solver for a full re-solve of the committed state
@@ -196,22 +329,18 @@ impl AsyncIngest {
     /// drains — the same point where a governance-deferred refresh runs.
     /// Requests made before a refresh starts are all covered by it.
     pub fn request_refresh(&self) {
-        let state = self.lock_state();
-        self.shared.refresh_requested.fetch_add(1, Ordering::AcqRel);
-        drop(state);
-        self.shared.work_cv.notify_all();
+        self.shared.notify(self.shared.lock().request_refresh());
     }
 
-    /// Whether a requested refresh has not finished yet (queued behind
-    /// epochs, or running).
+    /// The latest committed snapshot, its engine counters with submit-side
+    /// structural rejections folded in ([`metrics`](Self::metrics)), and
+    /// the queue's counters — all as of one instant.
     #[must_use]
-    pub fn refresh_pending(&self) -> bool {
-        let done = self.shared.refresh_done.load(Ordering::Acquire);
-        self.shared.refresh_requested.load(Ordering::Acquire) > done
-    }
-
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.shared.state.lock().expect("ingest queue lock")
+    pub fn status(&self) -> (Arc<IngestSnapshot>, IngestMetrics, AsyncStatus) {
+        let state = self.shared.lock();
+        let mut metrics = *state.snapshot.metrics();
+        metrics.rejected_updates += state.status.front_rejected_updates;
+        (Arc::clone(&state.snapshot), metrics, state.status)
     }
 
     /// Blocks until `epoch` has been processed and returns its outcome.
@@ -219,66 +348,27 @@ impl AsyncIngest {
     /// # Errors
     ///
     /// The engine's rejection for that epoch (shared, since several
-    /// waiters may observe it), or [`IngestError::OutcomeExpired`] when
-    /// the outcome already fell out of the retention window (an epoch is
-    /// retained for 1024 commits — `OUTCOME_WINDOW`).
+    /// waiters may observe it); [`IngestError::OutcomeExpired`] when the
+    /// outcome already fell out of the retention window (an epoch is
+    /// retained for 1024 commits — `OUTCOME_WINDOW`); or
+    /// [`IngestError::SolverPanic`] when the solver thread exited before
+    /// finishing the epoch.
     ///
     /// # Panics
     ///
     /// Panics if `epoch` was never submitted.
     pub fn wait(&self, epoch: u64) -> Result<IngestOutcome, Arc<IngestError>> {
-        let shared = &*self.shared;
-        assert!(
-            epoch <= shared.submitted.load(Ordering::Acquire),
-            "waiting on epoch {epoch} that was never submitted"
-        );
-        let mut state = self.lock_state();
+        let mut state = self.shared.lock();
+        assert!(epoch <= state.status.submitted, "epoch {epoch} unsubmitted");
         loop {
-            if let Some(outcome) = state.outcomes.get(&epoch) {
-                return outcome.clone();
+            // An expired outcome is an error, not a panic: in the daemon
+            // this runs on a connection handler thread, which must answer
+            // with an error frame rather than die.
+            if let Some(outcome) = state.poll(epoch) {
+                return outcome;
             }
-            // Processed, but already pruned from the retention window (the
-            // waiter fell more than `OUTCOME_WINDOW` commits behind). An
-            // error, not a panic: in the daemon this runs on a connection
-            // handler thread, which must answer with an error frame rather
-            // than die.
-            if shared.committed.load(Ordering::Acquire) >= epoch {
-                return Err(Arc::new(IngestError::OutcomeExpired { epoch }));
-            }
-            state = shared
-                .done_cv
-                .wait(state)
-                .expect("ingest done condvar poisoned");
+            state = (self.shared.done_cv.wait(state)).unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Epochs submitted but not yet processed — the apply queue lag.
-    #[must_use]
-    pub fn queue_lag(&self) -> u64 {
-        let submitted = self.shared.submitted.load(Ordering::Acquire);
-        let committed = self.shared.committed.load(Ordering::Acquire);
-        submitted.saturating_sub(committed)
-    }
-
-    /// The epoch currently applying on the solver thread, if any.
-    #[must_use]
-    pub fn in_flight_epoch(&self) -> Option<u64> {
-        match self.shared.in_flight.load(Ordering::Acquire) {
-            0 => None,
-            e => Some(e),
-        }
-    }
-
-    /// Last epoch handed out to a submitter.
-    #[must_use]
-    pub fn submitted_epoch(&self) -> u64 {
-        self.shared.submitted.load(Ordering::Acquire)
-    }
-
-    /// Last epoch the solver finished processing.
-    #[must_use]
-    pub fn committed_epoch(&self) -> u64 {
-        self.shared.committed.load(Ordering::Acquire)
     }
 
     /// Engine counters as of the latest snapshot, with submit-side
@@ -286,108 +376,82 @@ impl AsyncIngest {
     /// engine would report after the same traffic.
     #[must_use]
     pub fn metrics(&self) -> IngestMetrics {
-        let mut m = *self.snapshot().metrics();
-        m.rejected_updates += self.shared.front_rejected_updates.load(Ordering::Relaxed);
-        m
+        self.status().1
     }
 
     /// Drains every queued epoch, stops the solver thread, and returns the
     /// engine for in-process inspection (differential tests, final
     /// reports).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the solver thread panicked.
     #[must_use]
     pub fn shutdown(mut self) -> IngestEngine {
-        self.begin_shutdown();
-        self.solver
-            .take()
-            .expect("solver thread present until shutdown")
-            .join()
-            .expect("ingest solver thread panicked")
+        let joined = self.stop().expect("solver thread present until shutdown");
+        joined.expect("ingest solver thread panicked")
     }
 
-    fn begin_shutdown(&self) {
-        let mut state = self.lock_state();
-        state.shutdown = true;
-        drop(state);
-        self.shared.work_cv.notify_all();
+    /// Requests shutdown and joins the solver, once.
+    fn stop(&mut self) -> Option<std::thread::Result<IngestEngine>> {
+        let solver = self.solver.take()?;
+        self.shared.notify(self.shared.lock().shutdown());
+        Some(solver.join())
     }
 }
 
 impl Drop for AsyncIngest {
     fn drop(&mut self) {
-        if let Some(handle) = self.solver.take() {
-            self.begin_shutdown();
-            let _ = handle.join();
-        }
+        let _ = self.stop();
     }
 }
 
-/// The solver thread: applies epochs strictly in submission order,
-/// publishing a snapshot after each, and runs maintenance whenever the
-/// queue drains, until shutdown drains the queue.
+/// Runs the solver-exit transition when the solver thread ends, by return
+/// or by unwind.
+struct ExitGuard<'a>(&'a Shared);
+
+impl Drop for ExitGuard<'_> {
+    fn drop(&mut self) {
+        self.0.notify(self.0.lock().solver_exit());
+    }
+}
+
+/// The solver thread: takes jobs in order — epochs first, a refresh when
+/// the queue drains — runs each on the engine with the lock released, and
+/// finishes it under the lock, until shutdown drains the queue.
 fn solver_loop(mut engine: IngestEngine, shared: &Shared) -> IngestEngine {
+    let _exit = ExitGuard(shared);
     loop {
-        let (epoch, updates) = {
-            let mut state = shared.state.lock().expect("ingest queue lock");
-            loop {
-                if let Some(batch) = state.queue.pop_front() {
-                    break batch;
-                }
-                if state.shutdown {
-                    return engine;
-                }
-                // The drain point, the one maintenance path: a requested
-                // refresh (`resolve`) and a governance-deferred one
-                // (`DegradeAction::DeferFull`) both run here, off the
-                // latency path. The queue lock is released first —
-                // submitters must never block on maintenance — and the
-                // refreshed snapshot republishes at the current committed
-                // epoch: same instance, every shard re-solved fresh, so
-                // the bracket can only tighten.
-                let requested = shared.refresh_requested.load(Ordering::Acquire);
-                if requested > shared.refresh_done.load(Ordering::Acquire)
-                    || engine.refresh_wanted()
-                {
-                    drop(state);
-                    let epoch = shared.committed.load(Ordering::Acquire);
-                    if engine.refresh_full().is_ok() {
-                        *shared.snapshot.lock().expect("snapshot lock") =
-                            Arc::new(engine.snapshot(epoch));
-                    }
-                    // Cleared only after the publish: whoever sees the
-                    // request done also sees the refreshed snapshot.
-                    shared.refresh_done.store(requested, Ordering::Release);
-                    state = shared.state.lock().expect("ingest queue lock");
-                    continue;
-                }
-                state = shared
-                    .work_cv
-                    .wait(state)
-                    .expect("ingest work condvar poisoned");
+        let mut job = None;
+        drop(shared.work_cv.wait_while(shared.lock(), |state| {
+            job = state.take(engine.refresh_wanted());
+            job.is_none()
+        }));
+        let wake = match job {
+            Some(Job::Apply(epoch, updates)) => {
+                let result = engine.push_batch(updates).and_then(|_| engine.apply());
+                // Each epoch is all-or-nothing: a commit leaves nothing
+                // pending, a rejected batch must not poison later epochs,
+                // and a shed one (answered `stale`, for its client to
+                // resend) must not ride along with them.
+                engine.clear_pending();
+                let snapshot = Arc::new(engine.snapshot(epoch));
+                shared.lock().finish_epoch(result, snapshot)
             }
+            // Same instance, every shard re-solved fresh, so the bracket
+            // can only tighten; a failed refresh leaves the state as it
+            // was but counts in `rejected_batches`.
+            Some(Job::Refresh(epoch, covers)) => {
+                let _ = engine.refresh_full();
+                let snapshot = Arc::new(engine.snapshot(epoch));
+                shared.lock().finish_refresh(covers, snapshot);
+                continue;
+            }
+            Some(Job::Exit) => return engine,
+            // A poisoned lock cut the park short: take again.
+            None => continue,
         };
-        shared.in_flight.store(epoch, Ordering::Release);
-        let result = match engine.push_batch(updates) {
-            Ok(_) => engine.apply(),
-            Err(e) => Err(e),
-        };
-        if !matches!(&result, Ok(outcome) if !outcome.stale) {
-            // Each epoch is all-or-nothing: a rejected batch must not
-            // poison later epochs, and a shed one (answered `stale`, for
-            // its client to resend) must not ride along with them.
-            engine.clear_pending();
-        }
-        // The atomic epoch swap: readers see the previous snapshot or this
-        // one, never a torn state. Published on rejection too — the
-        // allocation is unchanged but the metrics moved.
-        *shared.snapshot.lock().expect("snapshot lock") = Arc::new(engine.snapshot(epoch));
-        let mut state = shared.state.lock().expect("ingest queue lock");
-        state.outcomes.insert(epoch, result.map_err(Arc::new));
-        let floor = epoch.saturating_sub(OUTCOME_WINDOW);
-        state.outcomes = state.outcomes.split_off(&floor);
-        shared.committed.store(epoch, Ordering::Release);
-        shared.in_flight.store(0, Ordering::Release);
-        drop(state);
-        shared.done_cv.notify_all();
+        shared.notify(wake);
     }
 }
 
@@ -410,6 +474,11 @@ mod tests {
             }
         }
         b.build().expect("instance")
+    }
+
+    fn refresh_pending(ingest: &AsyncIngest) -> bool {
+        let (_, _, status) = ingest.status();
+        status.refresh_requested > status.refresh_done
     }
 
     #[test]
@@ -440,7 +509,8 @@ mod tests {
             assert_eq!(snap.assignment(), sync.assignment());
         }
 
-        assert_eq!(ingest.queue_lag(), 0);
+        let (_, _, status) = ingest.status();
+        assert_eq!(status.submitted - status.committed, 0, "no queue lag");
         assert_eq!(ingest.metrics().applies, sync.metrics().applies);
         let engine = ingest.shutdown();
         assert_eq!(engine.utility().to_bits(), sync.utility().to_bits());
@@ -456,7 +526,7 @@ mod tests {
             .apply_async(vec![Update::StreamArrival(StreamId::new(99))])
             .expect_err("unknown stream");
         assert!(matches!(err, IngestError::UnknownStream(_)));
-        assert_eq!(ingest.submitted_epoch(), 0, "nothing was enqueued");
+        assert_eq!(ingest.status().2.submitted, 0, "nothing was enqueued");
         assert_eq!(ingest.metrics().rejected_updates, 1);
     }
 
@@ -497,17 +567,19 @@ mod tests {
             ..IngestConfig::default()
         };
         let ingest = AsyncIngest::new(IngestEngine::new(small_instance(), config).expect("e"));
-        // Holding the snapshot lock parks the solver at its publish, so a
+        // Submitting and requesting in one critical section keeps the
+        // solver from taking the epoch before the request lands, so a
         // refresh is both requested and deferred when the queue drains.
-        let publish = ingest.shared.snapshot.lock().expect("snapshot lock");
-        let epoch = ingest
-            .apply_async(vec![Update::StreamDeparture(StreamId::new(0))])
+        let mut state = ingest.shared.lock();
+        let (epoch, _) = state
+            .submit(vec![Update::StreamDeparture(StreamId::new(0))])
             .expect("submit");
-        ingest.request_refresh();
-        assert!(ingest.refresh_pending());
-        drop(publish);
+        state.request_refresh();
+        assert!(state.status.refresh_requested > state.status.refresh_done);
+        drop(state);
+        ingest.shared.work_cv.notify_all();
         assert!(ingest.wait(epoch).expect("commits").deferred_full);
-        while ingest.refresh_pending() {
+        while refresh_pending(&ingest) {
             std::thread::yield_now();
         }
         let m = ingest.metrics();
@@ -595,5 +667,449 @@ mod tests {
         }
         let engine = ingest.shutdown();
         assert_eq!(engine.num_live(), instance.num_streams() - 3);
+    }
+
+    #[test]
+    fn a_failed_refresh_publishes_its_counters() {
+        let mut engine = IngestEngine::new(small_instance(), IngestConfig::default()).expect("e");
+        // The first resolve after construction panics: here, the refresh.
+        engine.panic_on_apply = Some(1);
+        let ingest = AsyncIngest::new(engine);
+        ingest.request_refresh();
+        while refresh_pending(&ingest) {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            ingest.metrics().rejected_batches,
+            1,
+            "the failed refresh is published with its counters"
+        );
+        assert_eq!(ingest.snapshot().epoch(), 0, "a refresh takes no epoch");
+        assert_eq!(ingest.shutdown().metrics().rejected_batches, 1);
+    }
+
+    #[test]
+    fn a_dead_solver_fails_waiters_and_refuses_new_epochs() {
+        let mut engine = IngestEngine::new(small_instance(), IngestConfig::default()).expect("e");
+        // Publishing epoch 2 panics outside the re-solve's panic guard.
+        engine.panic_on_publish = Some(2);
+        let ingest = Arc::new(AsyncIngest::new(engine));
+        // A panic while holding the queue lock poisons it; the poison is
+        // cleared, not fatal.
+        let poisoner = {
+            let ingest = Arc::clone(&ingest);
+            std::thread::spawn(move || {
+                let _held = ingest.shared.lock();
+                panic!("poisoning the queue lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(ingest.shared.state.is_poisoned());
+        let epochs = [0, 1].map(|s| {
+            let update = Update::StreamDeparture(StreamId::new(s));
+            ingest.apply_async(vec![update]).expect("submit")
+        });
+        // Wait on another thread, so a hang fails the test instead of
+        // hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let ingest = Arc::clone(&ingest);
+            std::thread::spawn(move || {
+                let outcomes = epochs.map(|e| ingest.wait(e));
+                tx.send(outcomes).expect("receiver alive");
+            })
+        };
+        let [first, second] = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a dead solver must not hang its waiters");
+        waiter.join().expect("waiter thread");
+        assert!(first.is_ok(), "epoch 1 committed before the fault");
+        let err = second.expect_err("the solver died publishing epoch 2");
+        assert!(matches!(*err, IngestError::SolverPanic(ref m) if m == SOLVER_EXITED));
+        let refused = ingest
+            .apply_async(vec![])
+            .expect_err("no epochs after death");
+        assert!(matches!(refused, IngestError::SolverPanic(ref m) if m == SOLVER_EXITED));
+        let (snapshot, _, status) = ingest.status();
+        assert!(status.solver_exited);
+        assert_eq!((status.submitted, status.committed), (2, 1));
+        assert_eq!(snapshot.epoch(), 1);
+
+        // `shutdown` keeps its documented panic on join.
+        let ingest = Arc::into_inner(ingest).expect("sole owner");
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ingest.shutdown()));
+        assert!(joined.is_err(), "shutdown reports the dead solver");
+    }
+
+    /// The exhaustive check of the pure core: every interleaving of a
+    /// bounded event alphabet over [`QueueState`], driven the way the
+    /// thread code drives it, with no threads and no solving.
+    mod exhaustive {
+        use super::super::*;
+
+        /// How the engine ends a submitted epoch.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Kind {
+            Commit,
+            Reject,
+            Panic,
+            /// Commits, and governance defers a full refresh.
+            Defer,
+        }
+
+        /// What the world outside the solver does.
+        #[derive(Clone, Copy, Debug)]
+        enum Event {
+            Submit(Kind),
+            RequestRefresh,
+            Shutdown,
+            /// The solver thread dies wherever it is.
+            Crash,
+        }
+
+        const ALPHABET: [Event; 7] = [
+            Event::Submit(Kind::Commit),
+            Event::Submit(Kind::Reject),
+            Event::Submit(Kind::Panic),
+            Event::Submit(Kind::Defer),
+            Event::RequestRefresh,
+            Event::Shutdown,
+            Event::Crash,
+        ];
+
+        /// Where the solver loop is.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Solver {
+            /// About to take its next job.
+            Ready,
+            /// Asleep on `work_cv` until a `Wake::Solver`.
+            Parked,
+            /// Running the engine on this epoch, lock released.
+            Applying(u64),
+            /// Running a refresh: `(epoch, covers)`.
+            Refreshing(u64, u64),
+            Exited,
+        }
+
+        /// One entry of a failing interleaving's trace.
+        #[expect(dead_code, reason = "read through `Debug`, in failure messages")]
+        #[derive(Clone, Copy, Debug)]
+        enum Step {
+            Event(Event),
+            Solver(Solver),
+        }
+
+        /// The published snapshot, as `(epoch, refreshes the engine had run)`.
+        type Snap = (u64, u64);
+
+        #[derive(Clone)]
+        struct World {
+            q: QueueState<Snap>,
+            solver: Solver,
+            /// Each submitted epoch's kind, by `epoch - 1`.
+            kinds: Vec<Kind>,
+            /// Each submitted epoch's waiter: `None` while it sleeps on
+            /// `done_cv`, else the answer it returned with.
+            answers: Vec<Option<Result<IngestOutcome, Arc<IngestError>>>>,
+            /// The engine's `refresh_wanted`.
+            refresh_wanted: bool,
+            /// Refreshes the engine has run.
+            refreshes: u64,
+            /// `(covers, n)`: the `n`-th refresh covered the first `covers`
+            /// requests.
+            covered: Vec<(u64, u64)>,
+            /// A request or a deferral arrived since the last refresh began.
+            refresh_owed: bool,
+            crashed: bool,
+            events: usize,
+            submits: usize,
+            trace: Vec<Step>,
+        }
+
+        impl World {
+            fn new() -> Self {
+                World {
+                    q: QueueState::new((0, 0)),
+                    solver: Solver::Ready,
+                    kinds: Vec::new(),
+                    answers: Vec::new(),
+                    refresh_wanted: false,
+                    refreshes: 0,
+                    covered: Vec::new(),
+                    refresh_owed: false,
+                    crashed: false,
+                    events: 0,
+                    submits: 0,
+                    trace: Vec::new(),
+                }
+            }
+
+            fn ensure(&self, holds: bool, what: &str) {
+                assert!(holds, "{what}, after {:?}", self.trace);
+            }
+
+            /// Sends a transition's wake-up: the parked solver becomes
+            /// ready; every sleeping waiter re-polls.
+            fn wake(&mut self, wake: Wake) {
+                match wake {
+                    Wake::Solver if self.solver == Solver::Parked => self.solver = Solver::Ready,
+                    Wake::Solver => {}
+                    Wake::Waiters => {
+                        for (i, answer) in self.answers.iter_mut().enumerate() {
+                            if answer.is_none() {
+                                *answer = self.q.poll(i as u64 + 1);
+                            }
+                        }
+                    }
+                }
+            }
+
+            fn allows(&self, event: Event, max_submits: usize) -> bool {
+                match event {
+                    Event::Submit(_) => self.submits < max_submits,
+                    Event::RequestRefresh => true,
+                    Event::Shutdown => !self.q.status.shutdown,
+                    Event::Crash => self.solver != Solver::Exited,
+                }
+            }
+
+            fn event(&mut self, event: Event) {
+                self.trace.push(Step::Event(event));
+                self.events += 1;
+                match event {
+                    Event::Submit(kind) => {
+                        self.submits += 1;
+                        match self.q.submit(Vec::new()) {
+                            Ok((epoch, wake)) => {
+                                self.ensure(epoch == self.kinds.len() as u64 + 1, "epoch skipped");
+                                self.kinds.push(kind);
+                                // The waiter's first check, before it sleeps.
+                                self.answers.push(self.q.poll(epoch));
+                                self.wake(wake);
+                            }
+                            Err(e) => self.ensure(
+                                self.q.status.solver_exited
+                                    && matches!(e, IngestError::SolverPanic(_)),
+                                "a live solver refused an epoch",
+                            ),
+                        }
+                    }
+                    Event::RequestRefresh => {
+                        self.refresh_owed = true;
+                        let wake = self.q.request_refresh();
+                        self.wake(wake);
+                    }
+                    Event::Shutdown => {
+                        let wake = self.q.shutdown();
+                        self.wake(wake);
+                    }
+                    Event::Crash => {
+                        self.crashed = true;
+                        self.exit();
+                    }
+                }
+            }
+
+            /// The exit guard's transition.
+            fn exit(&mut self) {
+                self.solver = Solver::Exited;
+                let wake = self.q.solver_exit();
+                self.wake(wake);
+            }
+
+            /// One step of `solver_loop`; `false` when it cannot move.
+            fn solver_step(&mut self) -> bool {
+                self.trace.push(Step::Solver(self.solver));
+                match self.solver {
+                    Solver::Parked | Solver::Exited => return false,
+                    Solver::Ready => match self.q.take(self.refresh_wanted) {
+                        None => self.solver = Solver::Parked,
+                        Some(Job::Apply(epoch, _)) => self.solver = Solver::Applying(epoch),
+                        Some(Job::Refresh(epoch, covers)) => {
+                            self.ensure(self.refresh_owed, "a refresh ran with nothing to cover");
+                            self.refresh_owed = false;
+                            if covers > self.q.status.refresh_done {
+                                self.covered.push((covers, self.refreshes + 1));
+                            }
+                            self.solver = Solver::Refreshing(epoch, covers);
+                        }
+                        Some(Job::Exit) => self.exit(),
+                    },
+                    Solver::Applying(epoch) => {
+                        let kind = self.kinds[epoch as usize - 1];
+                        let outcome = match kind {
+                            Kind::Commit => Ok(IngestOutcome::default()),
+                            Kind::Defer => Ok(IngestOutcome {
+                                deferred_full: true,
+                                ..IngestOutcome::default()
+                            }),
+                            Kind::Reject => Err(IngestError::InvalidBudget {
+                                measure: 0,
+                                budget: -1.0,
+                            }),
+                            Kind::Panic => Err(IngestError::SolverPanic("injected".into())),
+                        };
+                        if kind == Kind::Defer {
+                            self.refresh_wanted = true;
+                            self.refresh_owed = true;
+                        }
+                        let wake = self.q.finish_epoch(outcome, (epoch, self.refreshes));
+                        self.solver = Solver::Ready;
+                        self.wake(wake);
+                    }
+                    Solver::Refreshing(epoch, covers) => {
+                        self.refreshes += 1;
+                        self.refresh_wanted = false;
+                        self.q.finish_refresh(covers, (epoch, self.refreshes));
+                        self.solver = Solver::Ready;
+                    }
+                }
+                true
+            }
+
+            /// Safety: what every reachable state satisfies.
+            fn check(&self, before: &AsyncStatus) {
+                let s = self.q.status;
+                self.ensure(
+                    s.submitted >= before.submitted
+                        && s.committed >= before.committed
+                        && s.refresh_requested >= before.refresh_requested
+                        && s.refresh_done >= before.refresh_done,
+                    "a counter went backwards",
+                );
+                self.ensure(s.committed <= s.submitted, "committed ahead of submitted");
+                self.ensure(s.refresh_done <= s.refresh_requested, "refresh done ahead");
+                let (snap_epoch, snap_refreshes) = self.q.snapshot;
+                self.ensure(snap_epoch <= s.committed, "snapshot ahead of committed");
+                for &(covers, n) in &self.covered {
+                    self.ensure(
+                        s.refresh_done < covers || snap_refreshes >= n,
+                        "a refresh read done before its snapshot was published",
+                    );
+                }
+                if let Solver::Applying(epoch) = self.solver {
+                    self.ensure(s.in_flight == epoch, "in-flight epoch lost");
+                } else if self.solver != Solver::Exited {
+                    self.ensure(s.in_flight == 0, "in-flight epoch while idle");
+                }
+                for (i, answer) in self.answers.iter().enumerate() {
+                    let epoch = i as u64 + 1;
+                    let Some(answer) = answer else { continue };
+                    let polled = self.q.poll(epoch);
+                    if is_solver_panic(answer, SOLVER_EXITED) {
+                        self.ensure(
+                            s.solver_exited && epoch > s.committed,
+                            "a finished epoch failed as unfinished",
+                        );
+                        continue;
+                    }
+                    self.ensure(
+                        snap_epoch >= epoch,
+                        "a waiter saw its epoch but not its snapshot",
+                    );
+                    let same = match (&polled, answer) {
+                        (Some(Ok(now)), Ok(then)) => now == then,
+                        (Some(Err(now)), Err(then)) => Arc::ptr_eq(now, then),
+                        _ => false,
+                    };
+                    self.ensure(same, "an answer changed");
+                    let expected = match self.kinds[i] {
+                        Kind::Commit => matches!(answer, Ok(o) if !o.deferred_full),
+                        Kind::Defer => matches!(answer, Ok(o) if o.deferred_full),
+                        Kind::Reject => answer
+                            .as_ref()
+                            .is_err_and(|e| matches!(**e, IngestError::InvalidBudget { .. })),
+                        Kind::Panic => is_solver_panic(answer, "injected"),
+                    };
+                    self.ensure(expected, "an epoch got another epoch's answer");
+                }
+            }
+
+            /// Liveness, checked wherever the solver cannot move.
+            fn check_quiescent(&self) {
+                let s = self.q.status;
+                self.ensure(
+                    self.answers.iter().all(Option::is_some),
+                    "a waiter sleeps forever",
+                );
+                match self.solver {
+                    Solver::Parked => {
+                        let mut probe = self.q.clone();
+                        self.ensure(
+                            probe.take(self.refresh_wanted).is_none(),
+                            "the solver sleeps through work (a lost wake-up)",
+                        );
+                        self.ensure(
+                            s.refresh_done == s.refresh_requested
+                                && !self.refresh_wanted
+                                && !self.refresh_owed,
+                            "the solver idles with a refresh owed",
+                        );
+                    }
+                    Solver::Exited if !self.crashed => self.ensure(
+                        s.shutdown && self.q.queue.is_empty() && s.committed == s.submitted,
+                        "shutdown left epochs undrained",
+                    ),
+                    _ => {}
+                }
+            }
+        }
+
+        fn is_solver_panic(
+            answer: &Result<IngestOutcome, Arc<IngestError>>,
+            message: &str,
+        ) -> bool {
+            matches!(answer, Err(e) if matches!(&**e, IngestError::SolverPanic(m) if m == message))
+        }
+
+        /// Explores every interleaving below `world`; returns how many
+        /// complete ones (no step left) it found.
+        fn explore(world: &World, max_events: usize, max_submits: usize) -> u64 {
+            let before = world.q.status;
+            let mut complete = 0;
+            let mut moved = false;
+            let mut next = world.clone();
+            if next.solver_step() {
+                next.check(&before);
+                complete += explore(&next, max_events, max_submits);
+                moved = true;
+            } else {
+                world.check_quiescent();
+            }
+            if world.events < max_events {
+                for event in ALPHABET {
+                    if world.allows(event, max_submits) {
+                        let mut next = world.clone();
+                        next.event(event);
+                        next.check(&before);
+                        complete += explore(&next, max_events, max_submits);
+                        moved = true;
+                    }
+                }
+            }
+            complete + u64::from(!moved)
+        }
+
+        fn run(max_events: usize, max_submits: usize) -> u64 {
+            let started = std::time::Instant::now();
+            let interleavings = explore(&World::new(), max_events, max_submits);
+            eprintln!(
+                "{interleavings} interleavings of <= {max_events} events (<= {max_submits} \
+                 submits) checked in {:.2?}",
+                started.elapsed()
+            );
+            interleavings
+        }
+
+        #[test]
+        fn every_short_interleaving_keeps_the_queue_invariants() {
+            assert!(run(4, 2) > 0);
+        }
+
+        #[test]
+        #[ignore = "the full bound; run in release"]
+        fn every_interleaving_of_the_full_alphabet_keeps_the_queue_invariants() {
+            assert!(run(6, 3) > 0);
+        }
     }
 }

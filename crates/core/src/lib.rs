@@ -80,7 +80,7 @@ pub use assignment::Assignment;
 pub use error::{BuildError, Infeasibility, SolveError};
 pub use govern::{DegradeAction, SolveBudget};
 pub use ids::{StreamId, UserId};
-pub use ingest::async_apply::AsyncIngest;
+pub use ingest::async_apply::{AsyncIngest, AsyncStatus};
 pub use ingest::{
     IngestConfig, IngestEngine, IngestError, IngestMetrics, IngestOutcome, IngestSnapshot,
     Universe, Update,

@@ -255,8 +255,9 @@ impl Service {
             // pending. Taking the batch means a rejected one cannot wedge
             // it: later clients' applies never replay this one's poison.
             // The commit is awaited after the lock is released, so later
-            // requests are sequenced (and answered) meanwhile. Submission
-            // cannot fail in practice: updates were validated at push time.
+            // requests are sequenced (and answered) meanwhile. Updates were
+            // validated at push time, so submission fails only once the
+            // solver thread has died (`internal`, like the wait would).
             Request::Apply => self
                 .sequenced(|pending| self.ingest.apply_async(std::mem::take(pending)))
                 .map(|submitted| {
@@ -445,7 +446,7 @@ impl Service {
 
     /// The current `health` body.
     pub fn health(&self) -> HealthSnapshot {
-        let snapshot = self.ingest.snapshot();
+        let (snapshot, _, status) = self.ingest.status();
         HealthSnapshot {
             status: if self.draining() { "draining" } else { "ok" }.to_string(),
             live_streams: snapshot.num_live(),
@@ -454,17 +455,18 @@ impl Service {
             pending_updates: self.pending_updates(),
             queue_depth: self.counters.queue_depth.load(Ordering::Relaxed),
             queue_capacity: self.config.queue_capacity,
-            full_resolve_scheduled: self.ingest.refresh_pending(),
-            apply_queue_lag: self.ingest.queue_lag(),
-            epoch_in_flight: self.ingest.in_flight_epoch().unwrap_or(0),
+            full_resolve_scheduled: status.refresh_requested > status.refresh_done,
+            apply_queue_lag: status.submitted - status.committed,
+            epoch_in_flight: status.in_flight,
         }
     }
 
     /// The current `metrics` body: engine counters, serving counters, pool
-    /// gauges and the committed certificate.
+    /// gauges and the committed certificate. The engine counters, the
+    /// certificate and the epoch counters are one consistent cut.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let m = self.ingest.metrics();
-        let last = self.certificate();
+        let (snapshot, m, status) = self.ingest.status();
+        let last = snapshot.last_outcome();
         let pool = mmd_par::Pool::global();
         let c = &self.counters;
         MetricsSnapshot {
@@ -495,10 +497,10 @@ impl Service {
             gap_fraction: last.gap_fraction,
             pool_workers: pool.workers() as u64,
             pool_depth: pool.depth() as u64,
-            apply_queue_lag: self.ingest.queue_lag(),
-            epoch_submitted: self.ingest.submitted_epoch(),
-            epoch_committed: self.ingest.committed_epoch(),
-            epoch_in_flight: self.ingest.in_flight_epoch().unwrap_or(0),
+            apply_queue_lag: status.submitted - status.committed,
+            epoch_submitted: status.submitted,
+            epoch_committed: status.committed,
+            epoch_in_flight: status.in_flight,
             lane_mode: self.lane_mode.to_string(),
             peak_rss_bytes: peak_rss_bytes(),
             budget_soft_trips: m.budget_soft_trips,
@@ -800,6 +802,40 @@ mod tests {
         assert!(matches!(
             svc.handle(&depart(1)),
             Response::Pushed { pending: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn a_dead_solver_answers_internal_instead_of_hanging() {
+        // The solver thread dies publishing epoch 1, outside the re-solve's
+        // panic guard.
+        mmd_core::ingest::PANIC_ON_PUBLISH.set(Some(1));
+        let svc = std::sync::Arc::new(service());
+        mmd_core::ingest::PANIC_ON_PUBLISH.set(None);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = {
+            let svc = std::sync::Arc::clone(&svc);
+            std::thread::spawn(move || {
+                for stream in 0..2 {
+                    svc.handle(&depart(stream));
+                    tx.send(svc.handle(&Request::Apply)).unwrap();
+                }
+            })
+        };
+        // The first apply waits on the dying epoch; the second is refused
+        // at submit.
+        for _ in 0..2 {
+            let answered = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("an apply must not hang on a dead solver");
+            assert_eq!(code(&answered), Some(ErrorCode::Internal));
+        }
+        client.join().unwrap();
+        let health = svc.health();
+        assert_eq!((health.apply_queue_lag, health.epoch_in_flight), (1, 1));
+        assert!(matches!(
+            svc.handle(&Request::Certificate),
+            Response::Certificate { .. }
         ));
     }
 
